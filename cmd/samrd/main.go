@@ -189,9 +189,7 @@
 // -tier-max-bytes bounds each disk store; the oldest entries are
 // evicted first. With no tier flags set, the tier is fully disabled
 // and responses are byte-identical to a build without it. Tier
-// counters appear under "tier" in /v1/stats. -tier-sim-steps
-// additionally spills simulator step artifacts (stateless steps only)
-// through the same tier, so a fleet shares /v1/simulate work too.
+// counters appear under "tier" in /v1/stats.
 //
 // # Fault tolerance and repair
 //
@@ -274,11 +272,13 @@
 // Points: disk.get, disk.put, peer.get, peer.put, peer.manifest in the
 // tier; session.snapshot.put, session.snapshot.get on the session
 // durability path; admit.accept, admit.shed in admission control; and
-// pool.dispatch in the worker pool. Modes are error, latency, corrupt,
-// enospc, scheduled by every/after/count/prob and derived purely from
-// -fault-seed (same seed, same schedule). The contract under any
-// schedule: degraded performance or a well-formed 429, never a wrong
-// byte or a malformed client-visible error.
+// pool.dispatch in the worker pool, armed only for the fan-outs of this
+// daemon's own compute requests (the injector rides each request's
+// context, so nothing is armed process-wide). Modes are error,
+// latency, corrupt, enospc, scheduled by every/after/count/prob and
+// derived purely from -fault-seed (same seed, same schedule). The
+// contract under any schedule: degraded performance or a well-formed
+// 429, never a wrong byte or a malformed client-visible error.
 package main
 
 import (
@@ -295,7 +295,6 @@ import (
 	"time"
 
 	"samr/internal/fault"
-	"samr/internal/pool"
 	"samr/internal/server"
 )
 
@@ -318,7 +317,6 @@ func main() {
 		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
 		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval (0 disables; needs -tier-dir, -tier-peers, -tier-self)")
 		tierRepKeys = flag.Int("tier-repair-keys", 256, "max keys pulled per repair round")
-		tierSim     = flag.Bool("tier-sim-steps", false, "spill simulator step artifacts through the fleet tier")
 		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
@@ -345,9 +343,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "samrd:", err)
 			os.Exit(1)
 		}
-		// The worker pool is package-level, so its dispatch injection
-		// point is armed process-wide rather than through server.Config.
-		pool.SetFaults(injector)
 	}
 
 	s, err := server.New(server.Config{
@@ -367,7 +362,6 @@ func main() {
 		TierSelf:       *tierSelf,
 		TierRepair:     *tierRepair,
 		TierRepairKeys: *tierRepKeys,
-		TierSimSteps:   *tierSim,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		MaxSessions:    *maxSessions,

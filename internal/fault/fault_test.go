@@ -224,3 +224,48 @@ func TestStringSummarizes(t *testing.T) {
 		t.Fatalf("String = %q, want %q", got, want)
 	}
 }
+
+// FuzzParse drives the -faults grammar with arbitrary specs. Parse must
+// never panic, and any plan list it accepts must arm an injector whose
+// Hit, Stats, and String survive a few operations per armed point.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"disk.put:enospc:every=7,count=3;peer.get:latency:delay=20ms,prob=0.2",
+		"pool.dispatch:error",
+		"pool.dispatch:error:prob=0.5",
+		"disk.get:corrupt:after=2,every=5",
+		"admit.accept:error:count=1;admit.shed:latency:delay=1ms",
+		"session.snapshot.put:corrupt;session.snapshot.get:latency:delay=3s",
+		"peer.manifest:latency:delay=1h,prob=NaN",
+		" ; p:error: ,every=2 ;",
+		"p:error:bogus=1",
+		"p:latency",
+		"p",
+	} {
+		f.Add(seed, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		plans, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		in, err := New(seed, plans...)
+		if err != nil {
+			t.Fatalf("Parse accepted %q but New rejected it: %v", spec, err)
+		}
+		hits := make(map[string]uint64)
+		for _, p := range plans {
+			for i := 0; i < 3; i++ {
+				in.Hit(p.Point)
+				hits[p.Point]++
+			}
+		}
+		for point, n := range hits {
+			if got := in.Stats()[point].Ops; got != n {
+				t.Fatalf("%q: point %q counted %d ops, want %d", spec, point, got, n)
+			}
+		}
+		_ = in.String()
+	})
+}

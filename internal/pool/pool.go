@@ -20,21 +20,27 @@ import (
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // FaultDispatch is the pool's chaos injection point, consulted once
-// per MapCtx/RunCtx fan-out. Dispatch faults are performance
-// perturbations by design — they never fail a request: a latency
-// decision stalls the fan-out before dispatch, and an error decision
-// degrades it to serial execution on the calling goroutine (a pool
-// whose helpers are "lost"), exercising every code path above under
-// pathological scheduling while output stays bit-identical.
+// per MapCtx/RunCtx fan-out against the injector the fan-out's context
+// carries (WithFaults); a context without one never injects. Dispatch
+// faults are performance perturbations by design — they never fail a
+// request: a latency decision stalls the fan-out before dispatch, and
+// an error decision degrades it to serial execution on the calling
+// goroutine (a pool whose helpers are "lost"), exercising every code
+// path above under pathological scheduling while output stays
+// bit-identical. Because the injector rides the context, arming it for
+// one request (or one samrd Server) leaves every other fan-out in the
+// process untouched.
 const FaultDispatch = "pool.dispatch"
 
-// dispatchFaults is the armed injector. Pools are package-level, so
-// unlike the tier's per-instance injectors this is process-wide state.
-var dispatchFaults atomic.Pointer[fault.Injector]
+// faultsKey carries a *fault.Injector on a context.
+type faultsKey struct{}
 
-// SetFaults arms (or, with nil, disarms) the pool's injection points —
-// tests and the -faults flag only; the last caller wins process-wide.
-func SetFaults(in *fault.Injector) { dispatchFaults.Store(in) }
+// WithFaults returns a context whose pool fan-outs consult in at the
+// FaultDispatch point. It is WithClass's twin: one annotation at the
+// top of a request reaches every nested MapCtx/RunCtx below it.
+func WithFaults(ctx context.Context, in *fault.Injector) context.Context {
+	return context.WithValue(ctx, faultsKey{}, in)
+}
 
 // active counts helper goroutines currently running across every pool
 // in the process; it caps total pool width at GOMAXPROCS even when
@@ -174,7 +180,8 @@ func MapCtx(ctx context.Context, workers, n int, f func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if d := dispatchFaults.Load().Hit(FaultDispatch); d.Err != nil || d.Delay > 0 {
+	in, _ := ctx.Value(faultsKey{}).(*fault.Injector) // nil: disarmed
+	if d := in.Hit(FaultDispatch); d.Err != nil || d.Delay > 0 {
 		d.Sleep()
 		if d.Err != nil {
 			workers = 1 // injected dispatch failure: degrade to serial

@@ -408,13 +408,12 @@ func TestInjectedDispatchDegradesToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetFaults(in)
-	defer SetFaults(nil)
+	ctx := WithFaults(context.Background(), in)
 
 	const n = 64
 	out := make([]int, n)
 	var maxConcurrent, cur atomic.Int64
-	if err := MapCtx(context.Background(), 8, n, func(i int) error {
+	if err := MapCtx(ctx, 8, n, func(i int) error {
 		if c := cur.Add(1); c > maxConcurrent.Load() {
 			maxConcurrent.Store(c)
 		}
@@ -438,7 +437,7 @@ func TestInjectedDispatchDegradesToSerial(t *testing.T) {
 	// reports the earliest error.
 	boom := errors.New("boom")
 	ran := 0
-	err = MapCtx(context.Background(), 8, n, func(i int) error {
+	err = MapCtx(ctx, 8, n, func(i int) error {
 		ran++
 		if i == 5 {
 			return boom
@@ -460,14 +459,13 @@ func TestInjectedDispatchLatencyOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetFaults(in)
-	defer SetFaults(nil)
+	ctx := WithFaults(context.Background(), in)
 
 	const n = 16
 	var covered atomic.Int64
 	barrier := make(chan struct{})
 	var once sync.Once
-	if err := MapCtx(context.Background(), 4, n, func(i int) error {
+	if err := MapCtx(ctx, 4, n, func(i int) error {
 		// Prove real parallelism survives: the first four calls must
 		// be concurrent for the barrier to open. (A serial degrade
 		// would deadlock here, so a generous timeout guards it.)

@@ -48,6 +48,16 @@ func ParsePartitioner(spec string) (partition.Partitioner, error) {
 	return nil, fmt.Errorf("unknown partitioner %q (families: domain, patch-lpt, nature+fable, postmap(...))", spec)
 }
 
+// statefulSpec reports whether a canonical partitioner name names a
+// stateful (history-carrying) partitioner — the post-mapping wrapper.
+// Stateful results bypass the partition cache and the fleet tier: they
+// are not pure functions of (signature, name, nprocs). It is the
+// name-side twin of the simulator's Reset-method marker; the
+// FuzzParsePartitioner target pins the two to agree.
+func statefulSpec(canonical string) bool {
+	return strings.HasPrefix(canonical, "postmap(")
+}
+
 func parseCurve(name string) (sfc.Curve, error) {
 	switch name {
 	case "morton":

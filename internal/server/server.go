@@ -140,10 +140,6 @@ type Config struct {
 	TierRepair time.Duration
 	// TierRepairKeys bounds keys pulled per repair round (default 256).
 	TierRepairKeys int
-	// TierSimSteps additionally spills simulator step artifacts
-	// through the fleet tier (stateless steps only; the step cache is
-	// process-wide, so the last server wired wins).
-	TierSimSteps bool
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -154,8 +150,13 @@ type Config struct {
 	// Requires the tier (TierDir and/or TierPeers); with it off every
 	// response is byte-identical to a build without durable sessions.
 	TierSessions bool
-	// Faults arms the tier's fault-injection points for chaos testing
-	// (nil in production: the registry is zero-cost when disarmed).
+	// Faults arms this server's fault-injection points for chaos
+	// testing: the tier's disk and peer points, admission, session
+	// snapshots, and — through each compute request's context — the
+	// pool's dispatch point for the fan-outs that request runs. Nothing
+	// is armed process-wide, so another Server in the same process is
+	// untouched. Nil in production: the registry is zero-cost when
+	// disarmed.
 	Faults *fault.Injector
 	// MaxSessions bounds the streaming-session table (default 256);
 	// past it the least recently used session is evicted and its next
@@ -323,17 +324,14 @@ func (s *Server) SetOnAdmit(hook func(admit.Event) error) {
 func (s *Server) BeginShutdown() { s.shuttingDown.Store(true) }
 
 // Close releases the server's background work: it stops the repair
-// loop (waiting for an in-flight round to notice) and unhooks the
-// process-wide simulator step tier if this server installed it. Safe
-// to call on a server without either; the daemon calls it after the
-// HTTP drain, tests via t.Cleanup.
+// loop, waiting for an in-flight round to notice. It touches no
+// process-wide state, so closing one Server never changes another in
+// the same process. Safe to call on a server without repair; the
+// daemon calls it after the HTTP drain, tests via t.Cleanup.
 func (s *Server) Close() {
 	if s.repairCancel != nil {
 		s.repairCancel()
 		<-s.repairDone
-	}
-	if s.cfg.TierSimSteps {
-		sim.SetStepTier(nil)
 	}
 }
 
@@ -348,7 +346,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // request/error counters and in-flight gauge, admission control (when
 // enabled), the per-request deadline (Config.RequestTimeout capped
 // further by any X-Samr-Deadline-Ms budget), and the pool dispatch
-// class for every fan-out below the handler.
+// class — plus Config.Faults, when armed — for every fan-out below the
+// handler.
 func (s *Server) instrument(name string, pri admit.Priority, h http.HandlerFunc) http.HandlerFunc {
 	es := &endpointStats{}
 	s.endpoints[name] = es
@@ -399,8 +398,11 @@ func (s *Server) instrumented(es *endpointStats, pri admit.Priority, h http.Hand
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		r = r.WithContext(pool.WithClass(ctx, class))
-		h(sw, r)
+		ctx = pool.WithClass(ctx, class)
+		if s.cfg.Faults != nil {
+			ctx = pool.WithFaults(ctx, s.cfg.Faults)
+		}
+		h(sw, r.WithContext(ctx))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,14 +246,6 @@ func newSessionID() string {
 		panic("session id entropy: " + err.Error()) // crypto/rand never fails on supported platforms
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// statefulSpec reports whether a canonical partitioner name names a
-// stateful (history-carrying) partitioner — the post-mapping wrapper.
-// Stateful session results bypass the partition cache and the fleet
-// tier: they are not pure functions of (signature, name, nprocs).
-func statefulSpec(canonical string) bool {
-	return strings.HasPrefix(canonical, "postmap(")
 }
 
 // writeSessionGone emits the documented 410 session-expired wire error.

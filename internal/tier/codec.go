@@ -14,10 +14,10 @@
 //
 // Tier composes them into the memo.Tier shape (Lookup consults disk
 // then the key's owner peer; Store writes disk and offers the blob to
-// the owner), and the codec gives partition assignments and simulator
-// step artifacts a versioned, checksummed binary encoding, so a
-// corrupt or truncated entry — disk bit-rot, a torn peer response —
-// degrades to a cache miss, never a wrong answer.
+// the owner), and the codec gives partition assignments and session
+// snapshots a versioned, checksummed binary encoding, so a corrupt or
+// truncated entry — disk bit-rot, a torn peer response — degrades to a
+// cache miss, never a wrong answer.
 //
 // The tier is an optimization layer by contract: every failure path
 // (peer down, circuit open, corrupt blob, disk error) reports a miss
@@ -30,21 +30,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"samr/internal/geom"
 	"samr/internal/grid"
 	"samr/internal/partition"
-	"samr/internal/sim"
 )
 
 // Blob kinds carried by the codec (one byte on the wire).
 const (
 	// KindAssignment is a partition.Assignment blob.
 	KindAssignment byte = 1
-	// KindStepArtifact is a simulator step artifact: an assignment
-	// plus its evaluated per-run-independent step metrics.
-	KindStepArtifact byte = 2
+
+	// Kind byte 2 is retired. It sealed the simulator step artifacts
+	// (EncodeStepArtifact) of daemons run with -tier-sim-steps; such
+	// blobs may still sit on disk or at peers and must keep decoding
+	// as corrupt. Never reuse byte 2, and never renumber around it.
+
 	// KindSessionSnapshot is a streaming-session snapshot: everything a
 	// peer needs to resume a session under the same token (see
 	// SessionSnapshot).
@@ -168,19 +169,6 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.err = corrupt("short float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
-	return v
-}
-
 // count validates a declared element count against the bytes actually
 // remaining (each element takes at least minBytes), bounding
 // allocations on crafted or damaged payloads.
@@ -249,72 +237,6 @@ func DecodeAssignment(blob []byte) (*partition.Assignment, error) {
 		return nil, err
 	}
 	return a, nil
-}
-
-// appendStepMetrics appends every StepMetrics field in declaration
-// order; floats are fixed 8-byte little-endian bit patterns so the
-// round trip is bit-exact (NaN payloads included).
-func appendStepMetrics(buf []byte, sm *sim.StepMetrics) []byte {
-	buf = binary.AppendVarint(buf, int64(sm.Step))
-	buf = binary.AppendUvarint(buf, uint64(len(sm.Loads)))
-	for _, l := range sm.Loads {
-		buf = binary.AppendVarint(buf, l)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.Imbalance))
-	buf = binary.AppendVarint(buf, sm.IntraLevelComm)
-	buf = binary.AppendVarint(buf, sm.InterLevelComm)
-	buf = binary.AppendVarint(buf, sm.Messages)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.RelativeComm))
-	buf = binary.AppendVarint(buf, sm.Migration)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.RelativeMigration))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(sm.EstTime))
-	return buf
-}
-
-func (r *reader) stepMetrics() sim.StepMetrics {
-	var sm sim.StepMetrics
-	sm.Step = int(r.varint())
-	n := r.count(r.uvarint(), 1)
-	if n > 0 {
-		sm.Loads = make([]int64, n)
-	}
-	for i := range sm.Loads {
-		sm.Loads[i] = r.varint()
-	}
-	sm.Imbalance = r.float()
-	sm.IntraLevelComm = r.varint()
-	sm.InterLevelComm = r.varint()
-	sm.Messages = r.varint()
-	sm.RelativeComm = r.float()
-	sm.Migration = r.varint()
-	sm.RelativeMigration = r.float()
-	sm.EstTime = r.float()
-	return sm
-}
-
-// EncodeStepArtifact seals a simulator step artifact — the assignment
-// that partitioned a snapshot plus its evaluated metrics — into one
-// blob, keyed fleet-wide by the same content addresses the in-process
-// step cache uses.
-func EncodeStepArtifact(a *partition.Assignment, sm sim.StepMetrics) []byte {
-	payload := appendAssignment(nil, a)
-	payload = appendStepMetrics(payload, &sm)
-	return seal(KindStepArtifact, payload)
-}
-
-// DecodeStepArtifact reverses EncodeStepArtifact.
-func DecodeStepArtifact(blob []byte) (*partition.Assignment, sim.StepMetrics, error) {
-	payload, err := open(KindStepArtifact, blob)
-	if err != nil {
-		return nil, sim.StepMetrics{}, err
-	}
-	r := &reader{buf: payload}
-	a := r.assignment()
-	sm := r.stepMetrics()
-	if err := r.done(); err != nil {
-		return nil, sim.StepMetrics{}, err
-	}
-	return a, sm, nil
 }
 
 // SessionSnapshot is the durable form of one streaming session — the

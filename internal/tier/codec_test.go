@@ -1,6 +1,8 @@
 package tier
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -8,7 +10,6 @@ import (
 
 	"samr/internal/geom"
 	"samr/internal/partition"
-	"samr/internal/sim"
 )
 
 // randAssignment builds a structurally arbitrary assignment: the codec
@@ -34,27 +35,6 @@ func randAssignment(rng *rand.Rand) *partition.Assignment {
 	return a
 }
 
-func randStepMetrics(rng *rand.Rand) sim.StepMetrics {
-	sm := sim.StepMetrics{
-		Step:              rng.IntN(1000),
-		Imbalance:         rng.Float64() * 100,
-		IntraLevelComm:    rng.Int64N(1 << 40),
-		InterLevelComm:    rng.Int64N(1 << 40),
-		Messages:          rng.Int64N(1 << 30),
-		RelativeComm:      rng.Float64(),
-		Migration:         rng.Int64N(1 << 40),
-		RelativeMigration: rng.Float64(),
-		EstTime:           rng.Float64() * 10,
-	}
-	if n := rng.IntN(32); n > 0 {
-		sm.Loads = make([]int64, n)
-		for i := range sm.Loads {
-			sm.Loads[i] = rng.Int64N(1 << 50)
-		}
-	}
-	return sm
-}
-
 func TestAssignmentRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	for i := 0; i < 200; i++ {
@@ -66,35 +46,6 @@ func TestAssignmentRoundTripProperty(t *testing.T) {
 		}
 		if !reflect.DeepEqual(a, got) {
 			t.Fatalf("iteration %d: round trip mismatch:\n in: %+v\nout: %+v", i, a, got)
-		}
-	}
-}
-
-func TestStepArtifactRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 17))
-	for i := 0; i < 200; i++ {
-		a := randAssignment(rng)
-		sm := randStepMetrics(rng)
-		blob := EncodeStepArtifact(a, sm)
-		gotA, gotSM, err := DecodeStepArtifact(blob)
-		if err != nil {
-			t.Fatalf("iteration %d: decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(a, gotA) || !reflect.DeepEqual(sm, gotSM) {
-			t.Fatalf("iteration %d: round trip mismatch", i)
-		}
-	}
-}
-
-func TestFloatBitPatternsRoundTrip(t *testing.T) {
-	for _, f := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e-300} {
-		sm := sim.StepMetrics{EstTime: f}
-		_, got, err := DecodeStepArtifact(EncodeStepArtifact(&partition.Assignment{NumProcs: 1}, sm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.EstTime) != math.Float64bits(f) {
-			t.Fatalf("float %v: bits changed in round trip", f)
 		}
 	}
 }
@@ -125,10 +76,58 @@ func TestEveryMutationDetected(t *testing.T) {
 	if _, err := DecodeAssignment(nil); err == nil {
 		t.Fatal("nil blob decoded cleanly")
 	}
-	// Kind confusion: a step artifact is not an assignment.
-	art := EncodeStepArtifact(a, randStepMetrics(rng))
-	if _, err := DecodeAssignment(art); err == nil {
-		t.Fatal("step artifact decoded as assignment")
+	// Kind confusion: a session snapshot is not an assignment.
+	snap := EncodeSessionSnapshot(snapshotVariants(t)["stateless"])
+	if _, err := DecodeAssignment(snap); err == nil {
+		t.Fatal("session snapshot decoded as assignment")
+	}
+}
+
+// retiredKindBlob seals a blob under the retired kind byte 2 with the
+// payload layout its simulator-step encoder used: the assignment, then the step
+// metrics — step, loads, imbalance, intra/inter-level comm, messages,
+// relative comm, migration, relative migration, estimated time — with
+// floats as 8-byte little-endian bit patterns.
+func retiredKindBlob(a *partition.Assignment) []byte {
+	f := func(buf []byte, v float64) []byte {
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	payload := appendAssignment(nil, a)
+	payload = binary.AppendVarint(payload, 3)
+	payload = binary.AppendUvarint(payload, 2)
+	payload = binary.AppendVarint(payload, 100)
+	payload = binary.AppendVarint(payload, 120)
+	payload = f(payload, 1.2)
+	payload = binary.AppendVarint(payload, 640)
+	payload = binary.AppendVarint(payload, 96)
+	payload = binary.AppendVarint(payload, 12)
+	payload = f(payload, 0.3)
+	payload = binary.AppendVarint(payload, 48)
+	payload = f(payload, 0.2)
+	payload = f(payload, 0.004)
+	return seal(2, payload)
+}
+
+// TestRetiredKindDecodesAsCorrupt pins the retirement of kind byte 2:
+// simulator step blobs that daemons of the removed step spill left on
+// disk or at peers still pass the envelope check, but neither typed
+// decoder accepts them — not even a kind-2 blob whose payload is a
+// valid assignment.
+func TestRetiredKindDecodesAsCorrupt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(37, 39))
+	for i := 0; i < 50; i++ {
+		a := randAssignment(rng)
+		for _, blob := range [][]byte{retiredKindBlob(a), seal(2, appendAssignment(nil, a))} {
+			if _, kind, err := Open(blob); err != nil || kind != 2 {
+				t.Fatalf("Open(retired) = kind %d, err %v; want an intact kind-2 envelope", kind, err)
+			}
+			if _, err := DecodeAssignment(blob); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeAssignment(retired kind) err = %v, want ErrCorrupt", err)
+			}
+			if _, err := DecodeSessionSnapshot(blob); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeSessionSnapshot(retired kind) err = %v, want ErrCorrupt", err)
+			}
+		}
 	}
 }
 
@@ -146,13 +145,12 @@ func FuzzDecodeAssignment(f *testing.F) {
 	rng := rand.New(rand.NewPCG(29, 31))
 	f.Add([]byte{})
 	f.Add(EncodeAssignment(randAssignment(rng)))
-	f.Add(EncodeStepArtifact(randAssignment(rng), randStepMetrics(rng)))
+	f.Add(retiredKindBlob(randAssignment(rng)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Must never panic or over-allocate; errors are expected.
 		a, err := DecodeAssignment(data)
 		if err == nil && a == nil {
 			t.Fatal("nil assignment with nil error")
 		}
-		DecodeStepArtifact(data) //nolint:errcheck
 	})
 }
