@@ -122,12 +122,86 @@ func emit(f *experiments.Figure, csvOut bool) error {
 	return nil
 }
 
-// figApps maps model-vs-actual figures to their applications.
-var figApps = map[string]string{
-	"fig4": "RM2D",
-	"fig5": "BL2D",
-	"fig6": "SC2D",
-	"fig7": "TP2D",
+// runFn renders one experiment over one application's trace.
+type runFn func(ctx context.Context, tr *trace.Trace, procs int, csvOut bool) error
+
+// figure adapts a figure experiment: its output honours -format.
+func figure(fn func(context.Context, *trace.Trace, int) (*experiments.Figure, error)) runFn {
+	return func(ctx context.Context, tr *trace.Trace, procs int, csvOut bool) error {
+		f, err := fn(ctx, tr, procs)
+		if err != nil {
+			return err
+		}
+		return emit(f, csvOut)
+	}
+}
+
+// table adapts a table experiment: tables always print as text.
+func table(fn func(context.Context, *trace.Trace, int) (*experiments.Table, error)) runFn {
+	return func(ctx context.Context, tr *trace.Trace, procs int, _ bool) error {
+		tb, err := fn(ctx, tr, procs)
+		if err != nil {
+			return err
+		}
+		tb.Print(os.Stdout)
+		return nil
+	}
+}
+
+// modelVsActual renders paper Figure num: the communication and data
+// migration model-vs-actual figures of one application.
+func modelVsActual(num string) runFn {
+	return func(ctx context.Context, tr *trace.Trace, procs int, csvOut bool) error {
+		v, err := experiments.FigModelVsActual(ctx, tr, procs)
+		if err != nil {
+			return err
+		}
+		if !csvOut {
+			fmt.Printf("--- %s (paper Figure %s) ---\n", v.App, num)
+		}
+		if err := emit(v.Comm, csvOut); err != nil {
+			return err
+		}
+		return emit(v.Mig, csvOut)
+	}
+}
+
+// sweep runs the static hybrid across the processor-count ladder. The
+// sweep is a ladder view; -procs widens the default ladder with the
+// requested count instead of replacing it.
+func sweep(ctx context.Context, tr *trace.Trace, procs int, _ bool) error {
+	ladder := append([]int(nil), experiments.DefaultProcsLadder...)
+	if !slices.Contains(ladder, procs) {
+		ladder = append(ladder, procs)
+		sort.Ints(ladder)
+	}
+	tb, err := experiments.ProcsSweep(ctx, tr, partition.NewNatureFable(), ladder)
+	if err != nil {
+		return err
+	}
+	tb.Print(os.Stdout)
+	return nil
+}
+
+// experimentTable maps each experiment to the application whose trace
+// it runs on ("" runs it once per application, in apps.Names order)
+// and its renderer.
+var experimentTable = map[string]struct {
+	app string
+	run runFn
+}{
+	"fig1":       {"BL2D", figure(experiments.Fig1)},
+	"fig4":       {"RM2D", modelVsActual("4")},
+	"fig5":       {"BL2D", modelVsActual("5")},
+	"fig6":       {"SC2D", modelVsActual("6")},
+	"fig7":       {"TP2D", modelVsActual("7")},
+	"trajectory": {"BL2D", figure(experiments.ClassificationTrajectory)},
+	"ablationA":  {"", figure(experiments.AblationDenominator)},
+	"ablationB":  {"", table(experiments.AblationPartitioners)},
+	"ablationC":  {"", table(experiments.MetaVsStatic)},
+	"ablationD":  {"", figure(experiments.AblationAbsoluteImportance)},
+	"ablationE":  {"", table(experiments.AblationPostMapping)},
+	"sweep":      {"BL2D", sweep},
 }
 
 func run(ctx context.Context, exp string, procs int, quick bool, trPath string, csvOut bool) error {
@@ -147,132 +221,22 @@ func run(ctx context.Context, exp string, procs int, quick bool, trPath string, 
 	}
 
 	one := func(name string) error {
-		switch {
-		case name == "fig1":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			f, err := experiments.Fig1(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if err := emit(f, csvOut); err != nil {
-				return err
-			}
-		case figApps[name] != "":
-			tr, err := load(figApps[name])
-			if err != nil {
-				return err
-			}
-			v, err := experiments.FigModelVsActual(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if !csvOut {
-				fmt.Printf("--- %s (paper Figure %s) ---\n", v.App, name[3:])
-			}
-			if err := emit(v.Comm, csvOut); err != nil {
-				return err
-			}
-			if err := emit(v.Mig, csvOut); err != nil {
-				return err
-			}
-		case name == "trajectory":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			f, err := experiments.ClassificationTrajectory(ctx, tr, procs)
-			if err != nil {
-				return err
-			}
-			if err := emit(f, csvOut); err != nil {
-				return err
-			}
-		case name == "ablationA":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				f, err := experiments.AblationDenominator(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				if err := emit(f, csvOut); err != nil {
-					return err
-				}
-			}
-		case name == "ablationB":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.AblationPartitioners(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "ablationC":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.MetaVsStatic(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "ablationD":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				f, err := experiments.AblationAbsoluteImportance(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				if err := emit(f, csvOut); err != nil {
-					return err
-				}
-			}
-		case name == "ablationE":
-			for _, app := range apps.Names {
-				tr, err := load(app)
-				if err != nil {
-					return err
-				}
-				tb, err := experiments.AblationPostMapping(ctx, tr, procs)
-				if err != nil {
-					return err
-				}
-				tb.Print(os.Stdout)
-			}
-		case name == "sweep":
-			tr, err := load("BL2D")
-			if err != nil {
-				return err
-			}
-			// The sweep is a ladder view; -procs widens the default
-			// ladder with the requested count instead of replacing it.
-			ladder := append([]int(nil), experiments.DefaultProcsLadder...)
-			if !slices.Contains(ladder, procs) {
-				ladder = append(ladder, procs)
-				sort.Ints(ladder)
-			}
-			tb, err := experiments.ProcsSweep(ctx, tr, partition.NewNatureFable(), ladder)
-			if err != nil {
-				return err
-			}
-			tb.Print(os.Stdout)
-		default:
+		e, ok := experimentTable[name]
+		if !ok {
 			return fmt.Errorf("unknown experiment %q", name)
+		}
+		appNames := []string{e.app}
+		if e.app == "" {
+			appNames = apps.Names
+		}
+		for _, app := range appNames {
+			tr, err := load(app)
+			if err != nil {
+				return err
+			}
+			if err := e.run(ctx, tr, procs, csvOut); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

@@ -202,12 +202,12 @@
 // recompute per request. Anti-entropy repair is the opt-in second
 // axis:
 //
-//	samrd ... -tier-repair 30s -tier-repair-keys 256
+//	samrd ... -tier-repair 30s
 //
 // With -tier-repair set, each daemon serves its resident key list at
 // GET /v1/tier/manifest and periodically pulls the keys it owns under
-// rendezvous hashing from its peers (checksum-verified, bounded per
-// round by -tier-repair-keys), so a wiped or rejoined member converges
+// rendezvous hashing from its peers (checksum-verified, at most 256
+// keys per round), so a wiped or rejoined member converges
 // back to a warm shard within interval-plus-a-few-rounds instead of
 // serving cold forever. Manifests are fetched as deltas in the steady
 // state: the manifest endpoint accepts ?since=<generation> (the
@@ -316,7 +316,6 @@ func main() {
 		tierSelf    = flag.String("tier-self", "", "this daemon's own base URL as listed in -tier-peers")
 		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
 		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval (0 disables; needs -tier-dir, -tier-peers, -tier-self)")
-		tierRepKeys = flag.Int("tier-repair-keys", 256, "max keys pulled per repair round")
 		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
@@ -361,7 +360,6 @@ func main() {
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
 		TierRepair:     *tierRepair,
-		TierRepairKeys: *tierRepKeys,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		MaxSessions:    *maxSessions,
@@ -416,7 +414,7 @@ func main() {
 		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), *tierMax)
 	}
 	if s.Repairer() != nil {
-		log.Printf("samrd: anti-entropy repair on (every %s, <=%d keys/round)", *tierRepair, *tierRepKeys)
+		log.Printf("samrd: anti-entropy repair on (every %s)", *tierRepair)
 	}
 	if *tierSess {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")

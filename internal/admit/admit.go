@@ -85,11 +85,17 @@ func (p Priority) String() string {
 const interactiveWeight = 4
 
 // maxTenants bounds the tenant bookkeeping map; once reached, requests
-// from previously unseen tenants share one overflow bucket so a client
-// spraying random tenant headers cannot grow memory without bound.
+// from previously unseen tenants share one overflow bucket. With
+// maxTenantName bounding each key, a client spraying random tenant
+// headers cannot grow memory without bound.
 const maxTenants = 4096
 
-// overflowTenant is the shared bucket for tenants past maxTenants.
+// maxTenantName is the longest tenant name kept as its own entry;
+// longer names share the overflow bucket.
+const maxTenantName = 256
+
+// overflowTenant is the shared bucket for tenants past maxTenants and
+// for names longer than maxTenantName.
 const overflowTenant = "(overflow)"
 
 // Shed reasons, as reported in ShedError.Reason and the X-Samr-Shed
@@ -458,9 +464,12 @@ func (c *Controller) waitEstimateLocked(position int) time.Duration {
 }
 
 // tenantLocked returns the bookkeeping entry for a tenant, creating it
-// on first sight and collapsing tenants past maxTenants into one
-// overflow bucket.
+// on first sight and collapsing over-long names and tenants past
+// maxTenants into one overflow bucket.
 func (c *Controller) tenantLocked(name string) *tenantState {
+	if len(name) > maxTenantName {
+		name = overflowTenant
+	}
 	if t, ok := c.tenants[name]; ok {
 		return t
 	}

@@ -3,6 +3,7 @@ package admit
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -324,6 +325,25 @@ func TestTenantTokenBucket(t *testing.T) {
 	}
 	if st.Tenants["bob"].Admitted != 1 || st.Tenants["bob"].Throttled != 0 {
 		t.Errorf("bob stats = %+v, want 1 admit / 0 throttles", st.Tenants["bob"])
+	}
+}
+
+// TestLongTenantNameSharesOverflow: tenant names are client-chosen
+// header values, so bookkeeping (and every /v1/stats body) must not
+// keep an over-long one as its own key.
+func TestLongTenantNameSharesOverflow(t *testing.T) {
+	c := newTestController(t, Config{MaxInFlight: 4})
+	huge := strings.Repeat("t", 1<<20)
+	mustAdmit(t, c, huge, Interactive)()
+	mustAdmit(t, c, "alice", Interactive)()
+	st := c.Stats()
+	for name := range st.Tenants {
+		if len(name) > maxTenantName {
+			t.Fatalf("stats keep a %d-byte tenant name", len(name))
+		}
+	}
+	if st.Tenants[overflowTenant].Admitted != 1 || st.Tenants["alice"].Admitted != 1 {
+		t.Fatalf("tenants = %+v, want the long name counted under %q", st.Tenants, overflowTenant)
 	}
 }
 

@@ -202,11 +202,14 @@ func (d *Driver) workers() int {
 	return pool.Workers()
 }
 
-// initPatches runs the kernel's initial condition on every patch.
+// initPatches runs the kernel's initial condition on every patch. New
+// takes no context and Init cannot fail, so the fan-out never stops
+// early.
 func (d *Driver) initPatches(patches []*field.Patch, level int) {
 	g := d.geometry(level)
-	pool.ForEach(d.workers(), len(patches), func(i int) {
+	pool.MapCtx(context.Background(), d.workers(), len(patches), func(i int) error { //nolint:errcheck
 		d.kernel.Init(patches[i], g)
+		return nil
 	})
 }
 

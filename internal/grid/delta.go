@@ -24,8 +24,8 @@ import (
 // AppendEncoding produces, byte-identical to a cold full re-hash (the
 // delta property suite pins this).
 //
-// Contract: once tracked, a hierarchy must be mutated only through
-// ApplyDelta/WithDelta. Direct writes to Domain, RefRatio, or Levels
+// Contract: once tracked, a hierarchy is never mutated; WithDelta
+// derives each next state. Direct writes to Domain, RefRatio, or Levels
 // leave the cached digests stale. Clone deliberately drops the cache
 // (clones are routinely mutated directly, e.g. by tests and the
 // post-mapping partitioner's history snapshot).
@@ -295,17 +295,6 @@ func (h *Hierarchy) WithDelta(step []LevelDelta) (*Hierarchy, error) {
 	}
 	out.sig = c
 	return out, nil
-}
-
-// ApplyDelta applies step to h in place (see WithDelta for the delta
-// semantics and cost). An error leaves h untouched.
-func (h *Hierarchy) ApplyDelta(step []LevelDelta) error {
-	out, err := h.WithDelta(step)
-	if err != nil {
-		return err
-	}
-	*h = *out
-	return nil
 }
 
 // validateDelta checks exactly the structural invariants a per-level

@@ -78,12 +78,12 @@ func randomDelta(r *rand.Rand, h *Hierarchy) []LevelDelta {
 	return step
 }
 
-// TestApplyDeltaSignatureMatchesColdRehash is the incremental-signature
+// TestWithDeltaSignatureMatchesColdRehash is the incremental-signature
 // property suite: over random hierarchies and random per-level delta
 // sequences, the incrementally maintained Signature() and every
 // LevelSignature() are byte-identical to a cold full re-hash of the
 // same state, and the structures themselves stay valid.
-func TestApplyDeltaSignatureMatchesColdRehash(t *testing.T) {
+func TestWithDeltaSignatureMatchesColdRehash(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 60; trial++ {
 		h := randomHierarchy(r)
@@ -118,38 +118,10 @@ func TestApplyDeltaSignatureMatchesColdRehash(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaInPlace covers the mutating form: same state and
-// signature as WithDelta, and an invalid step leaves the hierarchy
-// exactly as it was.
-func TestApplyDeltaInPlace(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	h := randomHierarchy(r)
-	h.TrackSignature()
-	d := randomDelta(r, h)
-	want, err := h.WithDelta(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ApplyDelta(d); err != nil {
-		t.Fatal(err)
-	}
-	if h.Signature() != want.Signature() {
-		t.Fatalf("ApplyDelta signature %s != WithDelta %s", h.Signature(), want.Signature())
-	}
-
-	before := h.Signature()
-	bad := []LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox2(-100, -100, -90, -90)})}
-	if err := h.ApplyDelta(bad); err == nil {
-		t.Fatal("out-of-domain replacement accepted")
-	}
-	if h.Signature() != before || coldSignature(h) != before {
-		t.Fatal("failed ApplyDelta disturbed the hierarchy")
-	}
-}
-
 // TestDeltaValidation walks the rejection surface: empty steps, keeps
 // of nonexistent levels, overlap, nesting breaks from either side of a
-// level boundary, and level-0 domain coverage.
+// level boundary, domain containment, and level-0 domain coverage. A
+// rejected step leaves its input exactly as it was.
 func TestDeltaValidation(t *testing.T) {
 	base := func() *Hierarchy {
 		h := NewHierarchy(geom.NewBox2(0, 0, 32, 32), 2)
@@ -168,15 +140,16 @@ func TestDeltaValidation(t *testing.T) {
 			geom.NewBox2(8, 8, 24, 24), geom.NewBox2(16, 16, 40, 40)}), Keep()}},
 		{"child no longer nested", []LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox2(0, 0, 8, 8)}), Keep()}},
 		{"replacement outside parent", []LevelDelta{Keep(), Keep(), Replace(geom.BoxList{geom.NewBox2(100, 100, 110, 110)})}},
+		{"replacement outside domain", []LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox2(-100, -100, -90, -90)})}},
 		{"level 0 uncovers domain", []LevelDelta{Replace(geom.BoxList{geom.NewBox2(0, 0, 16, 16)}), Keep(), Keep()}},
 	}
 	for _, tc := range cases {
 		h := base()
 		before := h.Signature()
-		if err := h.ApplyDelta(tc.step); err == nil {
+		if _, err := h.WithDelta(tc.step); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		if h.Signature() != before {
+		if h.Signature() != before || coldSignature(h) != before {
 			t.Errorf("%s: failed delta disturbed the hierarchy", tc.name)
 		}
 	}
@@ -185,19 +158,20 @@ func TestDeltaValidation(t *testing.T) {
 	// a pure-keep step (signature unchanged).
 	h := base()
 	sig := h.Signature()
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Keep()}); err != nil {
+	h, err := h.WithDelta([]LevelDelta{Keep(), Keep(), Keep()})
+	if err != nil {
 		t.Fatalf("pure-keep step rejected: %v", err)
 	}
 	if h.Signature() != sig {
 		t.Fatal("pure-keep step changed the signature")
 	}
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep()}); err != nil {
+	if h, err = h.WithDelta([]LevelDelta{Keep(), Keep()}); err != nil {
 		t.Fatalf("drop-level step rejected: %v", err)
 	}
 	if len(h.Levels) != 2 || h.Signature() == sig {
 		t.Fatal("drop-level step did not take effect")
 	}
-	if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Replace(geom.BoxList{geom.NewBox2(20, 20, 60, 60)})}); err != nil {
+	if h, err = h.WithDelta([]LevelDelta{Keep(), Keep(), Replace(geom.BoxList{geom.NewBox2(20, 20, 60, 60)})}); err != nil {
 		t.Fatalf("append-level step rejected: %v", err)
 	}
 	if h.Signature() != sig || coldSignature(h) != sig {
@@ -246,9 +220,11 @@ func BenchmarkSignatureDeltaVsFull(b *testing.B) {
 		h.TrackSignature()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := h.ApplyDelta([]LevelDelta{Keep(), Keep(), Replace(finest(i))}); err != nil {
+			next, err := h.WithDelta([]LevelDelta{Keep(), Keep(), Replace(finest(i))})
+			if err != nil {
 				b.Fatal(err)
 			}
+			h = next
 			_ = h.Signature()
 		}
 	})

@@ -1,7 +1,9 @@
 // Package memo provides the bounded, concurrency-safe memoization
 // substrate the content-addressed layers of the repository share: the
-// in-process unit-chain and level-index caches under the partitioners,
-// and the HTTP partition cache of internal/server.
+// unit-chain, hybrid-prep and level-index caches under the
+// partitioners, the simulator's step and migration caches, and the
+// partition cache of internal/server — the only one with a Tier behind
+// it.
 //
 // A Cache is an LRU keyed by a comparable (typically content-hash)
 // key, with singleflight coalescing of concurrent identical misses:
@@ -79,8 +81,6 @@ type Cache[K comparable, V any] struct {
 
 	// tier, when set, is the second-level cache behind the miss path
 	// (fleet peers and/or disk). Nil means purely local behavior.
-	// Guarded by mu: process-wide caches (sim's step cache) swap it as
-	// servers come and go.
 	tier Tier[K, V]
 
 	// onFlight, when set (tests only), is called outside the lock
@@ -120,17 +120,11 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 func (c *Cache[K, V]) SetOnFlight(hook func(k K, leader bool)) { c.onFlight = hook }
 
 // SetTier installs the second-level cache consulted on the leader's
-// miss path (nil disables it). Unlike SetOnFlight it may be swapped at
-// any time: each flight captures the tier installed when it became
-// leader, so in-flight computes finish against the tier they started
-// with. Everything tier-side — fleet failover, anti-entropy repair,
-// corrupt-blob quarantine — stays behind the Tier interface; this
-// cache only ever sees hit-or-miss.
-func (c *Cache[K, V]) SetTier(t Tier[K, V]) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.tier = t
-}
+// miss path (nil disables it). Like SetOnFlight, it must be set before
+// the cache sees concurrent use. Everything tier-side — fleet
+// failover, anti-entropy repair, corrupt-blob quarantine — stays
+// behind the Tier interface; this cache only ever sees hit-or-miss.
+func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
 
 // Get returns the cached value for k, updating recency and the hit
 // counter. A miss is not counted here: miss accounting belongs to
@@ -206,14 +200,13 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, k K, compute func() (V, 
 		}
 		f := &flight[V]{done: make(chan struct{})}
 		c.flights[k] = f
-		tier := c.tier // captured under the lock: SetTier may swap it
 		c.mu.Unlock()
 		if hook := c.onFlight; hook != nil {
 			hook(k, true)
 		}
 		disp := Miss
-		if tier != nil {
-			if v, ok := tier.Lookup(ctx, k); ok {
+		if c.tier != nil {
+			if v, ok := c.tier.Lookup(ctx, k); ok {
 				f.v, f.err = v, nil
 				disp = TierHit
 			}
@@ -221,8 +214,8 @@ func (c *Cache[K, V]) GetOrCompute(ctx context.Context, k K, compute func() (V, 
 		if disp == Miss {
 			c.misses.Add(1)
 			f.v, f.err = compute()
-			if f.err == nil && tier != nil {
-				tier.Store(k, f.v)
+			if f.err == nil && c.tier != nil {
+				c.tier.Store(k, f.v)
 			}
 		} else {
 			c.tierHits.Add(1)

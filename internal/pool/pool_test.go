@@ -12,22 +12,7 @@ import (
 	"samr/internal/fault"
 )
 
-func TestForEachCoversAllIndices(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, workers := range []int{0, 1, 2, 7, 64} {
-		const n = 500
-		var hits [n]int32
-		ForEach(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForEachNestedCoversAllIndices(t *testing.T) {
+func TestMapCtxNestedCoversAllIndices(t *testing.T) {
 	// Nested pools must stay correct (and deadlock-free) even when the
 	// outer level exhausts the process-wide helper budget and the inner
 	// calls degrade to inline execution.
@@ -35,36 +20,20 @@ func TestForEachNestedCoversAllIndices(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	const outer, inner = 8, 50
 	var hits [outer * inner]int32
-	ForEach(Workers(), outer, func(i int) {
-		ForEach(Workers(), inner, func(j int) {
+	ctx := context.Background()
+	err := MapCtx(ctx, Workers(), outer, func(i int) error {
+		return MapCtx(ctx, Workers(), inner, func(j int) error {
 			atomic.AddInt32(&hits[i*inner+j], 1)
+			return nil
 		})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("nested index %d ran %d times", i, h)
 		}
-	}
-}
-
-func TestForEachEmpty(t *testing.T) {
-	ran := false
-	ForEach(4, 0, func(int) { ran = true })
-	ForEach(4, -3, func(int) { ran = true })
-	if ran {
-		t.Error("ForEach ran work for n <= 0")
-	}
-}
-
-func TestRun(t *testing.T) {
-	var total atomic.Int64
-	Run(
-		func() { total.Add(1) },
-		func() { total.Add(10) },
-		func() { total.Add(100) },
-	)
-	if total.Load() != 111 {
-		t.Errorf("Run total = %d", total.Load())
 	}
 }
 
@@ -189,8 +158,13 @@ func TestRunCtxPropagatesError(t *testing.T) {
 }
 
 func TestMapCtxEmpty(t *testing.T) {
-	if err := MapCtx(context.Background(), 4, 0, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
+	for _, n := range []int{0, -3} {
+		if err := MapCtx(context.Background(), 4, n, func(int) error {
+			t.Errorf("n=%d: MapCtx ran work", n)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -212,9 +186,10 @@ func TestClassOfDefaultsToInteractive(t *testing.T) {
 }
 
 // TestBatchCoverageIdenticalToForEach pins the satellite contract: a
-// Batch-class MapCtx covers exactly the indices ForEach covers — every
-// index once — on success, at every worker width, even while
-// interactive fan-outs run concurrently and steal the helper budget.
+// Batch-class MapCtx covers exactly the indices an Interactive one
+// covers — every index once — on success, at every worker width, even
+// while interactive fan-outs run concurrently and steal the helper
+// budget.
 func TestBatchCoverageIdenticalToForEach(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)

@@ -259,6 +259,52 @@ func TestDeadlineBudgetShedsUpFront(t *testing.T) {
 	}
 }
 
+// TestDeadlineHeaderOverflowClamped: a budget too large for
+// time.Duration is clamped, not wrapped. 18446744073710 ms times
+// time.Millisecond wraps int64 to about 448µs, which admission would
+// shed against the default service estimate while the request queues.
+func TestDeadlineHeaderOverflowClamped(t *testing.T) {
+	const hugeMs = 18446744073710
+	srv, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 8})
+	holderIn := make(chan struct{})
+	holderGo := make(chan struct{})
+	var leaders atomic.Int32
+	srv.Cache().SetOnFlight(func(k CacheKey, leader bool) {
+		if leader && leaders.Add(1) == 1 {
+			close(holderIn)
+			<-holderGo
+		}
+	})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h := testHierarchy(0)
+		postTenant(t, ts.URL+"/v1/partition", "", 0, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+	}()
+	<-holderIn
+
+	done := make(chan *http.Response, 1)
+	go func() {
+		h := testHierarchy(1)
+		done <- postTenant(t, ts.URL+"/v1/partition", "", hugeMs, PartitionRequest{Hierarchy: &h, Partitioner: "domain", NProcs: 4}, nil)
+	}()
+	// Release the holder once the request has queued or been shed.
+	for {
+		st := srv.Admission().Stats()
+		if st.Queued > 0 || st.ShedTotal() > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(holderGo)
+	wg.Wait()
+	if r := <-done; r.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(r.Body)
+		t.Fatalf("status = %d, want 200: %s", r.StatusCode, body)
+	}
+}
+
 // TestTenantRateLimitIsolation: a tenant over its rate is throttled
 // with 429 + Retry-After while other tenants are unaffected.
 func TestTenantRateLimitIsolation(t *testing.T) {

@@ -138,8 +138,6 @@ type Config struct {
 	// under rendezvous hashing from its peers, so a wiped or rejoined
 	// member converges instead of serving cold forever.
 	TierRepair time.Duration
-	// TierRepairKeys bounds keys pulled per repair round (default 256).
-	TierRepairKeys int
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -430,7 +428,9 @@ func (s *Server) observe(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // deadlineBudget parses the client-declared X-Samr-Deadline-Ms budget
-// (0 when absent or invalid).
+// (0 when absent or invalid). A budget past time.Duration's range is
+// clamped to its maximum, so an effectively unlimited budget never
+// wraps around to a tiny one.
 func deadlineBudget(r *http.Request) time.Duration {
 	v := r.Header.Get(DeadlineHeader)
 	if v == "" {
@@ -440,7 +440,7 @@ func deadlineBudget(r *http.Request) time.Duration {
 	if err != nil || ms <= 0 {
 		return 0
 	}
-	return time.Duration(ms) * time.Millisecond
+	return time.Duration(min(ms, math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 }
 
 // handleReady is the readiness probe: NOT READY (503) once shutdown
@@ -640,19 +640,12 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	results := make([]PartitionResult, len(hs))
 	err = pool.MapCtx(ctx, pool.Workers(), len(hs), func(i int) error {
 		h := hs[i]
-		key := CacheKey{Sig: hierarchySignature(h), Partitioner: name, NProcs: req.NProcs}
-		a, disp, err := s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
-			// A fresh instance per unit keeps stateful wrappers
-			// (postmap) from sharing state across goroutines and keeps
-			// every cached result a pure function of its key. The spec
-			// already parsed once, so this cannot fail.
-			p, _ := ParsePartitioner(req.Partitioner)
-			return p.Partition(ctx, h, req.NProcs)
-		})
+		sig := hierarchySignature(h)
+		a, disp, err := s.partitionCached(ctx, h, sig, name, req.NProcs)
 		if err != nil {
 			return err
 		}
-		results[i] = buildPartitionResult(h, key.Sig, name, req.NProcs, a, disp)
+		results[i] = buildPartitionResult(h, sig, name, req.NProcs, a, disp)
 		return nil
 	})
 	if err != nil {
@@ -662,6 +655,24 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 
 	s.writeCacheHeaders(w, results)
 	writeJSON(w, http.StatusOK, PartitionResponse{Results: results})
+}
+
+// partitionCached returns h's assignment under the canonical
+// partitioner name through the partition cache, its singleflight
+// group, and the tier behind it. The one-shot partition path and the
+// session step path both call it. A fresh instance per compute keeps
+// stateful wrappers (postmap) from sharing state across goroutines and
+// keeps every cached result a pure function of its key; canonical
+// names round-trip through the parser (FuzzParsePartitioner).
+func (s *Server) partitionCached(ctx context.Context, h *grid.Hierarchy, sig geom.Signature, name string, nprocs int) (*partition.Assignment, string, error) {
+	key := CacheKey{Sig: sig, Partitioner: name, NProcs: nprocs}
+	return s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
+		p, err := ParsePartitioner(name)
+		if err != nil {
+			return nil, err
+		}
+		return p.Partition(ctx, h, nprocs)
+	})
 }
 
 // sigScratch recycles the encoding buffers behind hierarchySignature:

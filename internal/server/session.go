@@ -388,17 +388,7 @@ func (s *Server) handleSessionStep(w http.ResponseWriter, r *http.Request) {
 		// of the way. A cancelled call leaves that state untouched.
 		a, err = sess.part.Partition(ctx, next, sess.nprocs)
 	} else {
-		key := CacheKey{Sig: sig, Partitioner: sess.name, NProcs: sess.nprocs}
-		a, disp, err = s.cache.GetOrCompute(ctx, key, func() (*partition.Assignment, error) {
-			// A fresh instance per compute, exactly like the one-shot
-			// path: every cached result stays a pure function of its
-			// key. Canonical names round-trip through the parser.
-			p, perr := ParsePartitioner(sess.name)
-			if perr != nil {
-				return nil, perr
-			}
-			return p.Partition(ctx, next, sess.nprocs)
-		})
+		a, disp, err = s.partitionCached(ctx, next, sig, sess.name, sess.nprocs)
 	}
 	if err != nil {
 		writeFailure(w, err)

@@ -91,10 +91,7 @@ func (s *Server) initTier() error {
 	s.mux.HandleFunc("GET /v1/tier/{key}", s.observe("tier", s.handleTierGet))
 	s.mux.HandleFunc("PUT /v1/tier/{key}", s.observe("tier", s.handleTierPut))
 	if s.cfg.TierRepair > 0 {
-		rep, err := tier.NewRepairer(t, tier.RepairConfig{
-			Interval:        s.cfg.TierRepair,
-			MaxKeysPerRound: s.cfg.TierRepairKeys,
-		})
+		rep, err := tier.NewRepairer(t, tier.RepairConfig{Interval: s.cfg.TierRepair})
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -196,6 +197,66 @@ func retryAfter(r *http.Response) time.Duration {
 	return 0
 }
 
+// statusErr is a peer reply the exchange did not expect.
+func statusErr(peer string, resp *http.Response) error {
+	return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
+}
+
+// exchange runs one peer round trip: the breaker gate, the call's
+// counter (nil for none), the fault point, and the shared retry
+// policy, under which 429/503 retry after the peer's Retry-After.
+// reply handles every other status with the body open; its nil
+// return is success. An injected error sends nothing, and an injected
+// corruption damages a private copy of the request body; the decision
+// is returned so a caller can damage what it received instead. The
+// breaker hears the outcome: a reply error other than ErrPeerMiss — a
+// clean miss proves the peer healthy — counts against the peer.
+func (c *PeerClient) exchange(ctx context.Context, peer, point string, calls *atomic.Uint64, method, url string, body []byte, reply func(*http.Response) error) (fault.Decision, error) {
+	if !c.allowed(peer) {
+		return fault.Decision{}, fmt.Errorf("tier: peer %s: breaker open", peer)
+	}
+	if calls != nil {
+		calls.Add(1)
+	}
+	d := c.faults.Hit(point)
+	d.Sleep()
+	if d.Err != nil {
+		// An injected transport failure: no request is sent, the
+		// breaker sees a failure, the caller sees a miss.
+		c.report(peer, false)
+		return d, d.Err
+	}
+	if d.Corrupt && body != nil {
+		// The caller's blob may also back the local disk entry.
+		body = fault.Damage(append([]byte(nil), body...))
+	}
+	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, url, rd)
+		if err != nil {
+			return err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/octet-stream")
+		}
+		resp, err := c.hc.Do(req)
+		if err != nil {
+			return backoff.Retryable(err)
+		}
+		defer resp.Body.Close()
+		defer io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
+		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+			return backoff.RetryableAfter(statusErr(peer, resp), retryAfter(resp))
+		}
+		return reply(resp)
+	})
+	c.report(peer, err == nil || errors.Is(err, ErrPeerMiss))
+	return d, err
+}
+
 // Get fetches key from peer. ok is false for misses and every failure
 // alike; the tier degrades to a local compute either way.
 func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
@@ -211,44 +272,21 @@ func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
 // distinction — a clean miss retires a remembered key, a failure must
 // not.
 func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
-	if !c.allowed(peer) {
-		return nil, fmt.Errorf("tier: peer %s: breaker open", peer)
-	}
-	c.gets.Add(1)
-	d := c.faults.Hit(FaultPeerGet)
-	d.Sleep()
-	if d.Err != nil {
-		// An injected transport failure: no request is sent, the
-		// breaker sees a failure, the caller sees a miss.
-		c.report(peer, false)
-		return nil, d.Err
-	}
 	var blob []byte
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/tier/"+key, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
+	d, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, peer+"/v1/tier/"+key, nil, func(resp *http.Response) error {
+		switch resp.StatusCode {
+		case http.StatusOK:
+			var err error
 			blob, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBlobBytes))
 			return err
-		case resp.StatusCode == http.StatusNotFound:
+		case http.StatusNotFound:
 			return ErrPeerMiss
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
 		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
+			return statusErr(peer, resp)
 		}
 	})
 	switch err {
 	case nil:
-		c.report(peer, true)
 		if d.Corrupt {
 			// The fetched blob is this call's private copy; damage
 			// simulates on-the-wire corruption (the decoder quarantines).
@@ -256,13 +294,9 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 		}
 		return blob, nil
 	case ErrPeerMiss:
-		c.report(peer, true)
 		c.misses.Add(1)
-		return nil, ErrPeerMiss
-	default:
-		c.report(peer, false)
-		return nil, err
 	}
+	return nil, err
 }
 
 // ErrPeerMiss is Fetch's clean-miss sentinel: the peer answered and
@@ -272,43 +306,12 @@ var ErrPeerMiss = fmt.Errorf("tier: peer miss")
 // Put offers key's blob to peer, best-effort: the return value is
 // informational and no failure propagates to the caller's request.
 func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) bool {
-	if !c.allowed(peer) {
-		return false
-	}
-	c.puts.Add(1)
-	d := c.faults.Hit(FaultPeerPut)
-	d.Sleep()
-	if d.Err != nil {
-		c.report(peer, false)
-		return false
-	}
-	if d.Corrupt {
-		// Damage a private copy: the caller's blob may also back the
-		// local disk entry.
-		blob = fault.Damage(append([]byte(nil), blob...))
-	}
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+"/v1/tier/"+key, bytes.NewReader(blob))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for keep-alive
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK:
+	_, err := c.exchange(ctx, peer, FaultPeerPut, &c.puts, http.MethodPut, peer+"/v1/tier/"+key, blob, func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusOK {
 			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
-		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
 		}
+		return statusErr(peer, resp)
 	})
-	c.report(peer, err == nil)
 	return err == nil
 }
 
@@ -316,50 +319,26 @@ func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) boo
 // far beyond any bounded disk store.
 const maxManifestBytes = 16 << 20
 
-// Manifest fetches peer's resident key list (GET /v1/tier/manifest):
-// one key per line, invalid lines dropped. A peer without the route —
-// repair disabled there, or an older build — reports an empty manifest
-// (the peer is healthy; it just shares nothing), like 404 on Get.
-func (c *PeerClient) Manifest(ctx context.Context, peer string) ([]string, bool) {
-	keys, _, ok := c.ManifestSince(ctx, peer, 0)
-	return keys, ok
-}
-
-// ManifestSince is Manifest with a delta cursor: since > 0 asks peer
-// for only the keys written after that generation (the value a prior
-// manifest reply advertised in ManifestGenHeader), and gen returns the
-// reply's generation for the next call. gen is 0 when the peer did not
-// advertise one — an older build serving full lists — in which case
-// the caller must keep its cursor at 0 and treat every manifest as the
-// complete listing.
+// ManifestSince fetches peer's resident key list (GET
+// /v1/tier/manifest): one key per line, invalid lines dropped. since >
+// 0 asks for only the keys written after that generation (the value a
+// prior manifest reply advertised in ManifestGenHeader); since == 0
+// asks for the full list. gen returns the reply's generation for the
+// next call. gen is 0 when the peer did not advertise one — an older
+// build serving full lists — in which case the caller must keep its
+// cursor at 0 and treat every manifest as the complete listing. A
+// peer without the route — repair disabled there, or an older build —
+// reports an empty manifest (the peer is healthy; it just shares
+// nothing), like 404 on Get.
 func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint64) (keys []string, gen uint64, ok bool) {
-	if !c.allowed(peer) {
-		return nil, 0, false
-	}
-	d := c.faults.Hit(FaultPeerManifest)
-	d.Sleep()
-	if d.Err != nil {
-		c.report(peer, false)
-		return nil, 0, false
-	}
 	url := peer + "/v1/tier/manifest"
 	if since > 0 {
 		url += "?since=" + strconv.FormatUint(since, 10)
 	}
-	err := backoff.Retry(ctx, c.policy, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return backoff.Retryable(err)
-		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			keys = keys[:0]
-			gen = 0
+	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, url, nil, func(resp *http.Response) error {
+		keys, gen = keys[:0], 0
+		switch resp.StatusCode {
+		case http.StatusOK:
 			if g, perr := strconv.ParseUint(resp.Header.Get(ManifestGenHeader), 10, 64); perr == nil {
 				gen = g
 			}
@@ -370,16 +349,12 @@ func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint6
 				}
 			}
 			return sc.Err()
-		case resp.StatusCode == http.StatusNotFound:
-			keys, gen = keys[:0], 0
+		case http.StatusNotFound:
 			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			return backoff.RetryableAfter(fmt.Errorf("tier: peer %s: %s", peer, resp.Status), retryAfter(resp))
 		default:
-			return fmt.Errorf("tier: peer %s: %s", peer, resp.Status)
+			return statusErr(peer, resp)
 		}
 	})
-	c.report(peer, err == nil)
 	if err != nil {
 		return nil, 0, false
 	}

@@ -228,7 +228,7 @@ func (r *Repairer) Missing(ctx context.Context) []string {
 		if peer == self || !r.t.client.Available(peer) {
 			continue
 		}
-		keys, ok := r.t.client.Manifest(ctx, peer)
+		keys, _, ok := r.t.client.ManifestSince(ctx, peer, 0)
 		if !ok {
 			continue
 		}

@@ -94,9 +94,9 @@ func TestServeManifestAndFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys, ok := a.tr.Client().Manifest(bg, b.ts.URL)
+	keys, _, ok := a.tr.Client().ManifestSince(bg, b.ts.URL, 0)
 	if !ok || len(keys) != len(want) {
-		t.Fatalf("Manifest = (%v, %v), want %d keys", keys, ok, len(want))
+		t.Fatalf("ManifestSince(0) = (%v, %v), want %d keys", keys, ok, len(want))
 	}
 	seen := map[string]bool{}
 	for _, key := range keys {
@@ -112,9 +112,9 @@ func TestServeManifestAndFetch(t *testing.T) {
 	// older build — reports an empty manifest and stays healthy.
 	old := httptest.NewServer(tierHandler(map[string][]byte{}))
 	defer old.Close()
-	keys, ok = a.tr.Client().Manifest(bg, old.URL)
+	keys, _, ok = a.tr.Client().ManifestSince(bg, old.URL, 0)
 	if !ok || len(keys) != 0 {
-		t.Fatalf("routeless peer Manifest = (%v, %v), want empty and ok", keys, ok)
+		t.Fatalf("routeless peer ManifestSince(0) = (%v, %v), want empty and ok", keys, ok)
 	}
 	if got := breakerStateOf(a.tr.Client(), old.URL); got != BreakerClosed {
 		t.Fatalf("routeless peer breaker = %q, want closed", got)
@@ -336,7 +336,7 @@ func TestPeerClientInjectedFaults(t *testing.T) {
 		Retry:  backoff.Policy{Attempts: 2, Base: time.Millisecond},
 		Faults: in,
 	})
-	if _, ok := c2.Manifest(bg, ts.URL); ok {
+	if _, _, ok := c2.ManifestSince(bg, ts.URL, 0); ok {
 		t.Fatal("injected manifest failure reported success")
 	}
 	if calls != 0 {

@@ -293,20 +293,6 @@ func (s *DiskStore) evictLocked(keep string) {
 	}
 }
 
-// Keys lists the resident entry keys, sorted; the anti-entropy
-// manifest is served from it.
-func (s *DiskStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries := s.entriesLocked()
-	keys := make([]string, 0, len(entries))
-	for _, e := range entries {
-		keys = append(keys, e.key)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // KeysSince returns the keys written after generation cursor since,
 // sorted, plus the store's current generation (the caller's next
 // cursor). since == 0 — or a cursor ahead of the current generation,

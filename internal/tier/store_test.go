@@ -200,8 +200,8 @@ func TestDiskStoreCleansCrashedPutTemp(t *testing.T) {
 	if s.Len() != 1 || s.Bytes() != int64(len("committed")) {
 		t.Fatalf("occupancy = (%d, %d), want only the committed entry", s.Len(), s.Bytes())
 	}
-	if keys := s.Keys(); len(keys) != 1 || keys[0] != k(1) {
-		t.Fatalf("Keys = %v, want only %s", keys, k(1))
+	if keys, _ := s.KeysSince(0); len(keys) != 1 || keys[0] != k(1) {
+		t.Fatalf("KeysSince(0) = %v, want only %s", keys, k(1))
 	}
 }
 
@@ -215,9 +215,9 @@ func TestDiskStoreKeysAndHas(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := s.Keys()
+	keys, _ := s.KeysSince(0)
 	if len(keys) != 3 || !sort.StringsAreSorted(keys) {
-		t.Fatalf("Keys = %v, want 3 sorted keys", keys)
+		t.Fatalf("KeysSince(0) = %v, want 3 sorted keys", keys)
 	}
 	if !s.Has(k(1)) || s.Has(k(9)) || s.Has("not-a-key") {
 		t.Fatal("Has disagrees with residency")

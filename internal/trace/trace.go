@@ -155,11 +155,15 @@ func Read(r io.Reader) (*Trace, error) {
 			if nBox < 0 || nBox > 1<<24 {
 				return nil, fmt.Errorf("trace: implausible box count %d", nBox)
 			}
-			lev := grid.Level{Boxes: make(geom.BoxList, nBox)}
+			// nBox is unread input, so it must not size an allocation:
+			// boxes are appended as they are read.
+			lev := grid.Level{Boxes: make(geom.BoxList, 0, min(nBox, 64))}
 			for bi := int64(0); bi < nBox; bi++ {
-				if lev.Boxes[bi], err = readBox(br); err != nil {
+				b, err := readBox(br)
+				if err != nil {
 					return nil, err
 				}
+				lev.Boxes = append(lev.Boxes, b)
 			}
 			h.Levels = append(h.Levels, lev)
 		}

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,6 +92,78 @@ func TestReadRejectsTruncation(t *testing.T) {
 			t.Errorf("Read of %d/%d bytes should fail", cut, len(full))
 		}
 	}
+}
+
+// TestReadBoundsAllocationByInput: a 128-byte file claiming 2^24 boxes
+// and holding none must fail without allocating for the claimed boxes
+// (939.5 MB when the count sized the level up front).
+func TestReadBoundsAllocationByInput(t *testing.T) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	bw.Write(magic[:]) //nolint:errcheck
+	writeString(bw, "")
+	writeI64(bw, 2) // refinement ratio
+	writeI64(bw, 1) // max levels
+	writeBox(bw, geom.NewBox2(0, 0, 16, 16))
+	writeI64(bw, 1) // snapshots
+	writeI64(bw, 0) // step
+	writeI64(bw, 0) // time
+	writeI64(bw, 1) // levels
+	writeI64(bw, 1<<24)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 128 {
+		t.Fatalf("input is %d bytes, want 128", buf.Len())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Read accepted a level missing its boxes")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("Read allocated %d bytes for a 128-byte input", got)
+	}
+}
+
+// FuzzRead: Read never panics, and any trace it accepts survives a
+// Write/Read round trip unchanged (compared by re-encoding, which also
+// covers NaN times).
+func FuzzRead(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	buf.Reset()
+	if err := Write(&buf, &Trace{App: "EMPTY"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("NOTATRACEFILE..."))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := Write(&enc, tr); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Read(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		var enc2 bytes.Buffer
+		if err := Write(&enc2, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), enc2.Bytes()) {
+			t.Fatal("Write/Read round trip changed the trace")
+		}
+	})
 }
 
 func TestValidate(t *testing.T) {
