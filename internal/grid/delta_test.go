@@ -118,6 +118,40 @@ func TestWithDeltaSignatureMatchesColdRehash(t *testing.T) {
 	}
 }
 
+// TestApplyDeltaInPlace pins that a step never touches the state it is
+// applied to: after a successful WithDelta the receiver keeps its own
+// signature (cached and cold), and an invalid step returns no state and
+// leaves the receiver exactly as it was.
+func TestApplyDeltaInPlace(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	h := randomHierarchy(r)
+	h.TrackSignature()
+	before := h.Signature()
+	d := randomDelta(r, h)
+	next, err := h.WithDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Signature() != coldSignature(next) {
+		t.Fatalf("WithDelta signature %s != cold %s", next.Signature(), coldSignature(next))
+	}
+	if h.Signature() != before || coldSignature(h) != before {
+		t.Fatal("successful WithDelta disturbed its receiver")
+	}
+
+	bad := []LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox2(-100, -100, -90, -90)})}
+	got, err := next.WithDelta(bad)
+	if err == nil {
+		t.Fatal("out-of-domain replacement accepted")
+	}
+	if got != nil {
+		t.Fatal("rejected step returned a state")
+	}
+	if sig := next.Signature(); sig != coldSignature(next) {
+		t.Fatal("failed WithDelta disturbed the hierarchy")
+	}
+}
+
 // TestDeltaValidation walks the rejection surface: empty steps, keeps
 // of nonexistent levels, overlap, nesting breaks from either side of a
 // level boundary, domain containment, and level-0 domain coverage. A

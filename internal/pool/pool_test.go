@@ -12,6 +12,34 @@ import (
 	"samr/internal/fault"
 )
 
+// TestForEachCoversAllIndices pins the infallible-body form of MapCtx:
+// with a body that never fails, every index runs exactly once at every
+// worker width, so index-slotted output equals a sequential loop's.
+func TestForEachCoversAllIndices(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const n = 500
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		var hits [n]int32
+		var out [n]int
+		if err := MapCtx(context.Background(), workers, n, func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			out[i] = i * i
+			return nil
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range hits {
+			if hits[i] != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, hits[i])
+			}
+			if out[i] != i*i {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i*i)
+			}
+		}
+	}
+}
+
 func TestMapCtxNestedCoversAllIndices(t *testing.T) {
 	// Nested pools must stay correct (and deadlock-free) even when the
 	// outer level exhausts the process-wide helper budget and the inner
@@ -131,6 +159,35 @@ func TestMapCtxParallelReportsEarliestError(t *testing.T) {
 	}
 }
 
+// TestRun pins RunCtx over a heterogeneous task list wider than the
+// pool: every task runs exactly once, whatever its cost.
+func TestRun(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const tasks = 32
+	var hits [tasks]int32
+	fns := make([]func() error, tasks)
+	for k := range fns {
+		fns[k] = func() error {
+			sum := 0
+			for i := 0; i < (k%4)*10000; i++ {
+				sum += i
+			}
+			_ = sum
+			atomic.AddInt32(&hits[k], 1)
+			return nil
+		}
+	}
+	if err := RunCtx(context.Background(), fns...); err != nil {
+		t.Fatal(err)
+	}
+	for k, h := range hits {
+		if h != 1 {
+			t.Fatalf("task %d ran %d times", k, h)
+		}
+	}
+}
+
 func TestRunCtx(t *testing.T) {
 	var total atomic.Int64
 	err := RunCtx(context.Background(),
@@ -158,13 +215,26 @@ func TestRunCtxPropagatesError(t *testing.T) {
 }
 
 func TestMapCtxEmpty(t *testing.T) {
+	if err := MapCtx(context.Background(), 4, 0, func(int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForEachEmpty pins the no-work cases of the fan-outs: MapCtx with
+// n <= 0 and RunCtx with no tasks run nothing and report no error.
+func TestForEachEmpty(t *testing.T) {
+	ran := false
+	ctx := context.Background()
 	for _, n := range []int{0, -3} {
-		if err := MapCtx(context.Background(), 4, n, func(int) error {
-			t.Errorf("n=%d: MapCtx ran work", n)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+		if err := MapCtx(ctx, 4, n, func(int) error { ran = true; return nil }); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
 		}
+	}
+	if err := RunCtx(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ran {
+		t.Error("MapCtx ran work for n <= 0")
 	}
 }
 
