@@ -191,42 +191,22 @@
 // and responses are byte-identical to a build without it. Tier
 // counters appear under "tier" in /v1/stats.
 //
-// # Fault tolerance and repair
+// # Failover
 //
-// The fleet heals itself along two axes. Failover reads are always on:
-// each peer carries a circuit breaker (consecutive transport/5xx
-// failures open it; after a cooldown one probe half-opens it), and
-// when a key's owner is open the lookup — and the post-compute store
-// offer — diverts to the next peer in rendezvous order, one hop, so a
-// dead owner degrades its shard to a fleet-wide stand-in instead of a
-// recompute per request. Anti-entropy repair is the opt-in second
-// axis:
-//
-//	samrd ... -tier-repair 30s
-//
-// With -tier-repair set, each daemon serves its resident key list at
-// GET /v1/tier/manifest and periodically pulls the keys it owns under
-// rendezvous hashing from its peers (checksum-verified, at most 256
-// keys per round), so a wiped or rejoined member converges
-// back to a warm shard within interval-plus-a-few-rounds instead of
-// serving cold forever. Manifests are fetched as deltas in the steady
-// state: the manifest endpoint accepts ?since=<generation> (the
-// store's write-generation counter, echoed in X-Samr-Manifest-Gen) and
-// answers only the keys written after that cursor; the full list
-// remains the fallback for first contact, an unparsable cursor, or a
-// peer whose store restarted. Repair is pull-only and idempotent;
-// enable it fleet-wide (a member without the flag still answers probes
-// but serves no manifest). With the flag unset nothing changes: no
-// route, no goroutine, stats byte-identical to a repair-less build.
-//
-// Operators watch the self-healing layer in /v1/stats under "tier":
-// "breakers" lists non-closed peer breakers (state and consecutive
-// failures), "failover_reads"/"failover_stores" count diverted
-// exchanges, "corrupt" counts quarantined blobs, and "repair" holds
-// {rounds, keys_pulled, bytes_pulled, failures, missing} — "missing"
-// is the owned-key deficit still to be pulled; it falling to 0 is a
-// rejoined member finishing convergence. All of these are omitted
-// while zero, so a healthy fleet's stats are unchanged.
+// Each peer carries a circuit breaker: consecutive transport/5xx
+// failures open it, and after a cooldown one probe half-opens it. When
+// a key's owner is open, the lookup — and the post-compute store offer
+// — diverts to the next peer in rendezvous order, one hop, so a dead
+// owner degrades its shard to a fleet-wide stand-in instead of a
+// recompute per request. A member that rejoins with a wiped disk
+// refills its shard from ordinary traffic: its own recomputes, and the
+// store offers of peers that compute the keys it owns. Operators
+// watch this in /v1/stats under "tier": "breakers" lists non-closed
+// peer breakers (state and consecutive failures),
+// "failover_reads"/"failover_stores" count diverted exchanges, and
+// "corrupt" counts quarantined blobs. The breaker list and failover
+// counters are omitted while zero, so a healthy fleet's stats carry
+// none of them.
 //
 // # Session durability and failover
 //
@@ -269,8 +249,8 @@
 //
 //	samrd ... -faults 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' -fault-seed 7
 //
-// Points: disk.get, disk.put, peer.get, peer.put, peer.manifest in the
-// tier; session.snapshot.put, session.snapshot.get on the session
+// Points: disk.get, disk.put, peer.get, peer.put in the tier;
+// session.snapshot.put, session.snapshot.get on the session
 // durability path; admit.accept, admit.shed in admission control; and
 // pool.dispatch in the worker pool, armed only for the fan-outs of this
 // daemon's own compute requests (the injector rides each request's
@@ -315,7 +295,6 @@ func main() {
 		tierPeers   = flag.String("tier-peers", "", "comma-separated base URLs of every fleet member, identical across the fleet")
 		tierSelf    = flag.String("tier-self", "", "this daemon's own base URL as listed in -tier-peers")
 		tierMax     = flag.Int64("tier-max-bytes", 256<<20, "fleet tier disk store size bound in bytes")
-		tierRepair  = flag.Duration("tier-repair", 0, "anti-entropy repair interval (0 disables; needs -tier-dir, -tier-peers, -tier-self)")
 		tierSess    = flag.Bool("tier-sessions", false, "snapshot streaming sessions through the fleet tier so peers can resume them (needs the tier)")
 		faultSpec   = flag.String("faults", "", "fault-injection schedule for chaos drills, e.g. 'disk.put:enospc:every=7;peer.get:latency:delay=20ms,prob=0.1' (empty disables)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed deriving the deterministic -faults schedule")
@@ -359,7 +338,6 @@ func main() {
 		TierMaxBytes:   *tierMax,
 		TierPeers:      peers,
 		TierSelf:       *tierSelf,
-		TierRepair:     *tierRepair,
 		TierSessions:   *tierSess,
 		Faults:         injector,
 		MaxSessions:    *maxSessions,
@@ -413,9 +391,6 @@ func main() {
 	if s.Tier() != nil {
 		log.Printf("samrd: fleet tier on (dir %q, %d peers, %d byte bound)", *tierDir, len(peers), *tierMax)
 	}
-	if s.Repairer() != nil {
-		log.Printf("samrd: anti-entropy repair on (every %s)", *tierRepair)
-	}
 	if *tierSess {
 		log.Printf("samrd: durable sessions on (snapshots through the fleet tier, peers resume)")
 	}
@@ -433,7 +408,6 @@ func main() {
 	}
 	stop()
 	<-drained
-	s.Close() // stop the repair loop after the HTTP drain
 	hits, misses, shared := s.Cache().Stats()
 	log.Printf("samrd: shut down (cache hits %d, misses %d, shared %d)", hits, misses, shared)
 }

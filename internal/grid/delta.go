@@ -298,15 +298,19 @@ func (h *Hierarchy) WithDelta(step []LevelDelta) (*Hierarchy, error) {
 }
 
 // validateDelta checks exactly the structural invariants a per-level
-// replacement can break: each replaced level's boxes are disjoint and
-// inside the level domain, level 0 (if replaced) still covers the
-// domain, and nesting holds across every boundary touched by a change
-// (a replaced level against its parent, and its child against it). The
+// replacement can break: each replaced level's boxes are
+// Dim-dimensional, disjoint and inside the level domain, level 0 (if
+// replaced) still covers the domain, and nesting holds across every
+// boundary touched by a change (a replaced level against its parent,
+// and its child against it). The
 // cost is proportional to the replaced levels and their immediate
 // neighbors' box counts, never the whole hierarchy.
 func (h *Hierarchy) validateDelta(changed []bool) error {
 	if h.RefRatio < 2 {
 		return fmt.Errorf("grid: refinement ratio %d < 2", h.RefRatio)
+	}
+	if err := h.checkDims(changed); err != nil {
+		return err
 	}
 	for l, lev := range h.Levels {
 		if changed[l] {

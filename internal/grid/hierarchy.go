@@ -175,16 +175,44 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return out
 }
 
-// Validate checks the structural invariants of a hierarchy: level 0
-// covers the domain, every level's boxes are disjoint and inside the
-// level domain, and every level l >= 1 nests inside level l-1's
-// footprint.
+// Dim is the one dimensionality a hierarchy may have. geom is
+// dimension-generic, but the partitioners' unit chop and the load
+// penalty tile boxes with geom.NewBox2, so a 3-D hierarchy would be
+// partitioned and scored over its z=0 slab only.
+const Dim = 2
+
+// checkDims rejects a domain or a box of any dimensionality but Dim
+// on the levels picked by check (nil picks every level).
+func (h *Hierarchy) checkDims(check []bool) error {
+	if h.Domain.Dim != Dim {
+		return fmt.Errorf("grid: domain %v has dim %d, want %d", h.Domain, h.Domain.Dim, Dim)
+	}
+	for l, lev := range h.Levels {
+		if check != nil && !check[l] {
+			continue
+		}
+		for _, b := range lev.Boxes {
+			if b.Dim != Dim {
+				return fmt.Errorf("grid: level %d box %v has dim %d, want %d", l, b, b.Dim, Dim)
+			}
+		}
+	}
+	return nil
+}
+
+// Validate checks the structural invariants of a hierarchy: the domain
+// and every box are Dim-dimensional, level 0 covers the domain, every
+// level's boxes are disjoint and inside the level domain, and every
+// level l >= 1 nests inside level l-1's footprint.
 func (h *Hierarchy) Validate() error {
 	if len(h.Levels) == 0 {
 		return fmt.Errorf("grid: hierarchy has no levels")
 	}
 	if h.RefRatio < 2 {
 		return fmt.Errorf("grid: refinement ratio %d < 2", h.RefRatio)
+	}
+	if err := h.checkDims(nil); err != nil {
+		return err
 	}
 	if !h.Levels[0].Boxes.CoversBox(h.Domain) {
 		return fmt.Errorf("grid: level 0 does not cover the domain %v", h.Domain)

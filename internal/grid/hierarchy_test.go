@@ -101,6 +101,26 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNon2D pins the dimensionality gate of Validate and
+// WithDelta: a 3-D domain or box is rejected, even one whose z extent
+// is the unit slab the 2-D padding convention would accept.
+func TestValidateRejectsNon2D(t *testing.T) {
+	h := NewHierarchy(geom.NewBox3(0, 0, 0, 8, 8, 8), 2)
+	if err := h.Validate(); err == nil {
+		t.Error("Validate accepted a 3-D domain")
+	}
+
+	h = twoLevel()
+	h.Levels[1].Boxes[0] = geom.NewBox3(8, 8, 0, 24, 24, 1)
+	if err := h.Validate(); err == nil {
+		t.Error("Validate accepted a 3-D level-1 box")
+	}
+
+	if _, err := twoLevel().WithDelta([]LevelDelta{Keep(), Replace(geom.BoxList{geom.NewBox3(8, 8, 0, 24, 24, 1)})}); err == nil {
+		t.Error("WithDelta accepted a 3-D replacement box")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	h := twoLevel()
 	c := h.Clone()

@@ -122,8 +122,8 @@ func (c *Cache[K, V]) SetOnFlight(hook func(k K, leader bool)) { c.onFlight = ho
 // SetTier installs the second-level cache consulted on the leader's
 // miss path (nil disables it). Like SetOnFlight, it must be set before
 // the cache sees concurrent use. Everything tier-side — fleet
-// failover, anti-entropy repair, corrupt-blob quarantine — stays
-// behind the Tier interface; this cache only ever sees hit-or-miss.
+// failover, corrupt-blob quarantine — stays behind the Tier interface;
+// this cache only ever sees hit-or-miss.
 func (c *Cache[K, V]) SetTier(t Tier[K, V]) { c.tier = t }
 
 // Get returns the cached value for k, updating recency and the hit

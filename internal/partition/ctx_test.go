@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"samr/internal/geom"
 	"samr/internal/grid"
 )
 
@@ -127,6 +128,26 @@ func TestPartitionDeadlineErrorKind(t *testing.T) {
 	_, err := NewNatureFable().Partition(ctx, h, 8)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
+	}
+}
+
+// TestMergeFragmentsHonoursDeadline pins the deadline through the
+// fragment merge, where a large single-box base level spends seconds
+// in per-owner Simplify after every cheaper stage has finished: the
+// call must end in a wrapped DeadlineExceeded and a nil assignment,
+// not a full assignment delivered long after the deadline.
+func TestMergeFragmentsHonoursDeadline(t *testing.T) {
+	flushChainCaches()
+	h := grid.NewHierarchy(geom.NewBox2(0, 0, 256, 256), 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	a, err := NewDomainSFC().Partition(ctx, h, 4)
+	if !errors.Is(err, context.DeadlineExceeded) || a != nil {
+		n := -1
+		if a != nil {
+			n = len(a.Fragments)
+		}
+		t.Fatalf("Partition = (%d fragments, %v), want (nil, wrapped DeadlineExceeded)", n, err)
 	}
 }
 

@@ -66,6 +66,8 @@ func (d *DomainSFC) Partition(ctx context.Context, h *grid.Hierarchy, nprocs int
 		}
 		hi.columnFragments(u.box, owners[i], &a.Fragments)
 	}
-	a.Fragments = mergeFragments(a.Fragments)
+	if a.Fragments, err = mergeFragments(ctx, a.Fragments); err != nil {
+		return nil, err
+	}
 	return a, nil
 }

@@ -124,7 +124,9 @@ func (nf *NatureFable) Partition(ctx context.Context, h *grid.Hierarchy, nprocs 
 			return nil, err
 		}
 	}
-	a.Fragments = mergeFragments(a.Fragments)
+	if a.Fragments, err = mergeFragments(ctx, a.Fragments); err != nil {
+		return nil, err
+	}
 	return a, nil
 }
 

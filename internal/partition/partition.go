@@ -310,8 +310,11 @@ func minInt(a, b int) int {
 // followed by a group sweep writing back into the caller's slice —
 // each group's boxes are staged in a scratch list before its (never
 // longer) merged form overwrites consumed positions, so no per-call
-// map or key slice is built.
-func mergeFragments(frags []Fragment) []Fragment {
+// map or key slice is built. ctx is polled between (level, owner)
+// groups, since one group's Simplify can run for seconds on a large
+// base level; on cancellation the result is nil and the wrapped
+// context error, and frags is left reordered.
+func mergeFragments(ctx context.Context, frags []Fragment) ([]Fragment, error) {
 	sort.SliceStable(frags, func(i, j int) bool {
 		if frags[i].Level != frags[j].Level {
 			return frags[i].Level < frags[j].Level
@@ -321,6 +324,9 @@ func mergeFragments(frags []Fragment) []Fragment {
 	out := frags[:0]
 	var scratch geom.BoxList
 	for start := 0; start < len(frags); {
+		if err := checkCtx(ctx); err != nil {
+			return nil, err
+		}
 		level, owner := frags[start].Level, frags[start].Owner
 		end := start + 1
 		for end < len(frags) && frags[end].Level == level && frags[end].Owner == owner {
@@ -337,5 +343,5 @@ func mergeFragments(frags []Fragment) []Fragment {
 		}
 		start = end
 	}
-	return out
+	return out, nil
 }

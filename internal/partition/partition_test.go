@@ -282,7 +282,10 @@ func TestMergeFragmentsPreservesCoverage(t *testing.T) {
 		{Level: 0, Box: geom.NewBox2(2, 0, 4, 4), Owner: 1},
 		{Level: 0, Box: geom.NewBox2(4, 0, 8, 4), Owner: 2},
 	}
-	merged := mergeFragments(frags)
+	merged, err := mergeFragments(context.Background(), frags)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var vol1, vol2 int64
 	for _, f := range merged {
 		switch f.Owner {

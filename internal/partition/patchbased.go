@@ -101,7 +101,11 @@ func (p *PatchBased) Partition(ctx context.Context, h *grid.Hierarchy, nprocs in
 			loads[min] += b.Volume() * w
 		}
 	}
-	a.Fragments = mergeFragments(a.Fragments)
+	frags, err := mergeFragments(ctx, a.Fragments)
+	if err != nil {
+		return nil, err
+	}
+	a.Fragments = frags
 	return a, nil
 }
 

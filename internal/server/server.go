@@ -131,13 +131,6 @@ type Config struct {
 	// TierSelf is this daemon's own base URL as it appears in
 	// TierPeers, so keys it owns are not fetched from itself over HTTP.
 	TierSelf string
-	// TierRepair enables anti-entropy repair at this interval (0
-	// disables it — the default; requires the disk store, peers, and
-	// TierSelf). With repair on, the daemon serves its key manifest at
-	// GET /v1/tier/manifest and periodically pulls the keys it owns
-	// under rendezvous hashing from its peers, so a wiped or rejoined
-	// member converges instead of serving cold forever.
-	TierRepair time.Duration
 	// TierSessions makes streaming sessions fleet-resumable: after
 	// every committed step the session's state is snapshotted through
 	// the tier's store/offer path, and a step or delete naming a token
@@ -230,10 +223,7 @@ type Server struct {
 	mux      *http.ServeMux
 	admit    *admit.Controller // nil = admission disabled
 
-	tier         *tier.Tier     // nil = fleet tier disabled
-	repairer     *tier.Repairer // nil = anti-entropy repair disabled
-	repairCancel context.CancelFunc
-	repairDone   chan struct{}
+	tier *tier.Tier // nil = fleet tier disabled
 
 	sessions *sessionTable
 
@@ -321,18 +311,6 @@ func (s *Server) SetOnAdmit(hook func(admit.Event) error) {
 // normally. The daemon calls it on SIGTERM before http.Server.Shutdown.
 func (s *Server) BeginShutdown() { s.shuttingDown.Store(true) }
 
-// Close releases the server's background work: it stops the repair
-// loop, waiting for an in-flight round to notice. It touches no
-// process-wide state, so closing one Server never changes another in
-// the same process. Safe to call on a server without repair; the
-// daemon calls it after the HTTP drain, tests via t.Cleanup.
-func (s *Server) Close() {
-	if s.repairCancel != nil {
-		s.repairCancel()
-		<-s.repairDone
-	}
-}
-
 // ServeHTTP implements http.Handler. The body-size limit is the first
 // middleware: it precedes admission, which precedes the deadline.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -407,7 +385,7 @@ func (s *Server) instrumented(es *endpointStats, pri admit.Priority, h http.Hand
 // observe wraps a read-only endpoint with counters only: observability
 // must keep answering while the compute path sheds load, so these
 // endpoints bypass admission and the deadline. Handlers registered
-// under the same name (the tier's GET/PUT/manifest routes) share one
+// under the same name (the tier's GET and PUT routes) share one
 // counter pair.
 func (s *Server) observe(name string, h http.HandlerFunc) http.HandlerFunc {
 	es := s.endpoints[name]
@@ -846,10 +824,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.tier != nil {
 		resp.Cache.Tier = s.cache.TierHits()
 		st := s.tier.Stats()
-		if s.repairer != nil {
-			rs := s.repairer.Stats()
-			st.Repair = &rs
-		}
 		resp.Tier = &st
 	}
 	if st := s.sessions.stats(); st != nil {

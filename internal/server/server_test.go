@@ -317,6 +317,33 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestNon2DHierarchyRejected pins the dimensionality gate: the
+// partitioners and penalties tile with 2-D units, so a 3-D hierarchy
+// (or a 3-D box in a session step) is a 400, never a 200 that covers
+// only the z=0 slab.
+func TestNon2DHierarchyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cube := func(lo, hi int) Box { return Box{Dim: 3, Lo: []int{lo, lo, lo}, Hi: []int{hi, hi, hi}} }
+	h := Hierarchy{
+		Domain:   cube(0, 8),
+		RefRatio: 2,
+		Levels:   [][]Box{{cube(0, 8)}, {cube(4, 12)}},
+	}
+	for _, spec := range []string{"domain", "nature+fable"} {
+		r := post(t, ts.URL+"/v1/partition", PartitionRequest{Hierarchy: &h, Partitioner: spec, NProcs: 4}, nil)
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: 3-D hierarchy status %d, want 400", spec, r.StatusCode)
+		}
+	}
+
+	create := createSession(t, ts.URL, wideHierarchy(0), "domain", 4)
+	step := finestStep(4)
+	step.Levels[2].Boxes = []Box{{Dim: 3, Lo: []int{4, 100, 0}, Hi: []int{36, 132, 1}}}
+	if r := post(t, ts.URL+"/v1/session/"+create.Session+"/step", step, nil); r.StatusCode != http.StatusBadRequest {
+		t.Errorf("3-D session step status %d, want 400", r.StatusCode)
+	}
+}
+
 // TestConcurrentMixedRequests drives all endpoints from many goroutines
 // at once; run under -race it is the acceptance check that the cache,
 // registry, and pool fan-out are data-race free.

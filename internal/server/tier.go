@@ -68,10 +68,7 @@ func tierEnabled(cfg Config) bool {
 // initTier assembles the tier from the config, hooks it under the
 // partition cache, and registers the peer protocol. Called only when
 // tierEnabled: with the tier off, the server's routes, stats body, and
-// responses are byte-identical to a tier-less build. The repair layer
-// is a second opt-in: without TierRepair the manifest route is not
-// registered and no background goroutine exists, keeping a
-// repair-less fleet byte-identical to the previous release.
+// responses are byte-identical to a tier-less build.
 func (s *Server) initTier() error {
 	t, err := tier.New(tier.Config{
 		Dir:      s.cfg.TierDir,
@@ -90,46 +87,12 @@ func (s *Server) initTier() error {
 	// its disk store), so it bypasses admission like /v1/stats does.
 	s.mux.HandleFunc("GET /v1/tier/{key}", s.observe("tier", s.handleTierGet))
 	s.mux.HandleFunc("PUT /v1/tier/{key}", s.observe("tier", s.handleTierPut))
-	if s.cfg.TierRepair > 0 {
-		rep, err := tier.NewRepairer(t, tier.RepairConfig{Interval: s.cfg.TierRepair})
-		if err != nil {
-			return err
-		}
-		s.repairer = rep
-		// The literal "manifest" segment outranks the {key} wildcard in
-		// the mux, and no valid key collides with it (keys are 64 hex).
-		s.mux.HandleFunc("GET /v1/tier/manifest", s.observe("tier", s.handleTierManifest))
-		ctx, cancel := context.WithCancel(context.Background())
-		s.repairCancel = cancel
-		s.repairDone = make(chan struct{})
-		go func() {
-			defer close(s.repairDone)
-			rep.Run(ctx)
-		}()
-	}
 	return nil
 }
 
 // Tier exposes the fleet tier (nil when disabled) for stats reporting
 // and tests.
 func (s *Server) Tier() *tier.Tier { return s.tier }
-
-// Repairer exposes the anti-entropy repairer (nil when repair is
-// disabled); tests drive deterministic rounds through it.
-func (s *Server) Repairer() *tier.Repairer { return s.repairer }
-
-func (s *Server) handleTierManifest(w http.ResponseWriter, r *http.Request) {
-	// The optional since cursor selects a delta manifest: only keys
-	// written after that store generation. Anything unparsable is the
-	// full listing — the documented fallback, never an error.
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		if parsed, err := strconv.ParseUint(v, 10, 64); err == nil {
-			since = parsed
-		}
-	}
-	s.tier.ServeManifest(w, since)
-}
 
 func (s *Server) handleTierGet(w http.ResponseWriter, r *http.Request) {
 	s.tier.ServeGet(w, r.PathValue("key"))

@@ -342,10 +342,9 @@ func TestTierPeerProtocolValidates(t *testing.T) {
 }
 
 // TestSelfHealingOffWireIdentity pins the self-healing compatibility
-// contract: with no faults and repair disabled, a healthy tier fleet's
-// stats body carries none of the new keys (failover counters, breaker
-// list, repair block) and the manifest route does not exist — the wire
-// surface is exactly the previous release's.
+// contract: with no faults, a healthy tier fleet's stats body carries
+// none of the self-healing keys (failover counters, breaker list) and
+// no "repair" block, and GET /v1/tier/manifest is a plain 404.
 func TestSelfHealingOffWireIdentity(t *testing.T) {
 	fleet := newFleet(t, 2)
 	req := PartitionRequest{Partitioner: "domain", NProcs: 8}
@@ -358,7 +357,7 @@ func TestSelfHealingOffWireIdentity(t *testing.T) {
 		raw := string(getRaw(t, m.url+"/v1/stats"))
 		for _, key := range []string{"failover_reads", "failover_stores", "breakers", "repair"} {
 			if strings.Contains(raw, `"`+key+`"`) {
-				t.Errorf("%s: healthy repair-less stats body mentions %q: %s", m.url, key, raw)
+				t.Errorf("%s: healthy stats body mentions %q: %s", m.url, key, raw)
 			}
 		}
 		resp, err := http.Get(m.url + "/v1/tier/manifest")
@@ -367,7 +366,7 @@ func TestSelfHealingOffWireIdentity(t *testing.T) {
 		}
 		resp.Body.Close() //nolint:errcheck
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s: repair-less GET /v1/tier/manifest = %d, want 404", m.url, resp.StatusCode)
+			t.Errorf("%s: GET /v1/tier/manifest = %d, want 404", m.url, resp.StatusCode)
 		}
 	}
 }

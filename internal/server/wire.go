@@ -18,7 +18,8 @@ import (
 // internal IntVect padding convention.
 
 // Box is the wire form of geom.Box: lo inclusive, hi exclusive, dim 2
-// or 3. Lo and Hi carry exactly dim components.
+// (grid.Dim, the only dimensionality the partitioners support). Lo and
+// Hi carry exactly dim components.
 type Box struct {
 	Dim int   `json:"dim"`
 	Lo  []int `json:"lo"`
@@ -48,8 +49,8 @@ func fromGeomBox(b geom.Box) Box {
 }
 
 func (w Box) toGeom() (geom.Box, error) {
-	if w.Dim != 2 && w.Dim != 3 {
-		return geom.Box{}, fmt.Errorf("box dim must be 2 or 3, got %d", w.Dim)
+	if w.Dim != grid.Dim {
+		return geom.Box{}, fmt.Errorf("box dim must be %d, got %d", grid.Dim, w.Dim)
 	}
 	if len(w.Lo) != w.Dim || len(w.Hi) != w.Dim {
 		return geom.Box{}, fmt.Errorf("box lo/hi must carry %d components, got %d/%d", w.Dim, len(w.Lo), len(w.Hi))

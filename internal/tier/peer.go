@@ -1,7 +1,6 @@
 package tier
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -10,7 +9,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -203,21 +201,19 @@ func statusErr(peer string, resp *http.Response) error {
 }
 
 // exchange runs one peer round trip: the breaker gate, the call's
-// counter (nil for none), the fault point, and the shared retry
-// policy, under which 429/503 retry after the peer's Retry-After.
-// reply handles every other status with the body open; its nil
-// return is success. An injected error sends nothing, and an injected
-// corruption damages a private copy of the request body; the decision
-// is returned so a caller can damage what it received instead. The
-// breaker hears the outcome: a reply error other than ErrPeerMiss — a
-// clean miss proves the peer healthy — counts against the peer.
+// counter, the fault point, and the shared retry policy, under which
+// 429/503 retry after the peer's Retry-After. reply handles every
+// other status with the body open; its nil return is success. An
+// injected error sends nothing, and an injected corruption damages a
+// private copy of the request body; the decision is returned so a
+// caller can damage what it received instead. The breaker hears the
+// outcome: a reply error other than errPeerMiss — a clean miss proves
+// the peer healthy — counts against the peer.
 func (c *PeerClient) exchange(ctx context.Context, peer, point string, calls *atomic.Uint64, method, url string, body []byte, reply func(*http.Response) error) (fault.Decision, error) {
 	if !c.allowed(peer) {
 		return fault.Decision{}, fmt.Errorf("tier: peer %s: breaker open", peer)
 	}
-	if calls != nil {
-		calls.Add(1)
-	}
+	calls.Add(1)
 	d := c.faults.Hit(point)
 	d.Sleep()
 	if d.Err != nil {
@@ -253,25 +249,15 @@ func (c *PeerClient) exchange(ctx context.Context, peer, point string, calls *at
 		}
 		return reply(resp)
 	})
-	c.report(peer, err == nil || errors.Is(err, ErrPeerMiss))
+	c.report(peer, err == nil || errors.Is(err, errPeerMiss))
 	return d, err
 }
 
 // Get fetches key from peer. ok is false for misses and every failure
-// alike; the tier degrades to a local compute either way.
+// alike; the tier degrades to a local compute either way. A 404 is a
+// clean miss: it counts toward misses and proves the peer healthy, so
+// it never feeds the breaker.
 func (c *PeerClient) Get(ctx context.Context, peer, key string) ([]byte, bool) {
-	blob, err := c.Fetch(ctx, peer, key)
-	return blob, err == nil
-}
-
-// Fetch is Get distinguishing its misses: it returns the blob, or
-// ErrPeerMiss when the peer is healthy but lacks the key (it answered
-// 404 — the one outcome that proves absence), or another error for
-// every failure where the peer's holdings stay unknown (breaker open,
-// transport error, 5xx). The repairer's delta-manifest state needs the
-// distinction — a clean miss retires a remembered key, a failure must
-// not.
-func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error) {
 	var blob []byte
 	d, err := c.exchange(ctx, peer, FaultPeerGet, &c.gets, http.MethodGet, peer+"/v1/tier/"+key, nil, func(resp *http.Response) error {
 		switch resp.StatusCode {
@@ -280,28 +266,28 @@ func (c *PeerClient) Fetch(ctx context.Context, peer, key string) ([]byte, error
 			blob, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerBlobBytes))
 			return err
 		case http.StatusNotFound:
-			return ErrPeerMiss
+			return errPeerMiss
 		default:
 			return statusErr(peer, resp)
 		}
 	})
-	switch err {
-	case nil:
-		if d.Corrupt {
-			// The fetched blob is this call's private copy; damage
-			// simulates on-the-wire corruption (the decoder quarantines).
-			fault.Damage(blob)
+	if err != nil {
+		if errors.Is(err, errPeerMiss) {
+			c.misses.Add(1)
 		}
-		return blob, nil
-	case ErrPeerMiss:
-		c.misses.Add(1)
+		return nil, false
 	}
-	return nil, err
+	if d.Corrupt {
+		// The fetched blob is this call's private copy; damage
+		// simulates on-the-wire corruption (the decoder quarantines).
+		fault.Damage(blob)
+	}
+	return blob, true
 }
 
-// ErrPeerMiss is Fetch's clean-miss sentinel: the peer answered and
-// provably lacks the key.
-var ErrPeerMiss = fmt.Errorf("tier: peer miss")
+// errPeerMiss is Get's clean-miss reply error: the peer answered 404
+// and provably lacks the key.
+var errPeerMiss = errors.New("tier: peer miss")
 
 // Put offers key's blob to peer, best-effort: the return value is
 // informational and no failure propagates to the caller's request.
@@ -313,50 +299,4 @@ func (c *PeerClient) Put(ctx context.Context, peer, key string, blob []byte) boo
 		return statusErr(peer, resp)
 	})
 	return err == nil
-}
-
-// maxManifestBytes bounds a manifest read: 16 MiB holds ~250k keys,
-// far beyond any bounded disk store.
-const maxManifestBytes = 16 << 20
-
-// ManifestSince fetches peer's resident key list (GET
-// /v1/tier/manifest): one key per line, invalid lines dropped. since >
-// 0 asks for only the keys written after that generation (the value a
-// prior manifest reply advertised in ManifestGenHeader); since == 0
-// asks for the full list. gen returns the reply's generation for the
-// next call. gen is 0 when the peer did not advertise one — an older
-// build serving full lists — in which case the caller must keep its
-// cursor at 0 and treat every manifest as the complete listing. A
-// peer without the route — repair disabled there, or an older build —
-// reports an empty manifest (the peer is healthy; it just shares
-// nothing), like 404 on Get.
-func (c *PeerClient) ManifestSince(ctx context.Context, peer string, since uint64) (keys []string, gen uint64, ok bool) {
-	url := peer + "/v1/tier/manifest"
-	if since > 0 {
-		url += "?since=" + strconv.FormatUint(since, 10)
-	}
-	_, err := c.exchange(ctx, peer, FaultPeerManifest, nil, http.MethodGet, url, nil, func(resp *http.Response) error {
-		keys, gen = keys[:0], 0
-		switch resp.StatusCode {
-		case http.StatusOK:
-			if g, perr := strconv.ParseUint(resp.Header.Get(ManifestGenHeader), 10, 64); perr == nil {
-				gen = g
-			}
-			sc := bufio.NewScanner(io.LimitReader(resp.Body, maxManifestBytes))
-			for sc.Scan() {
-				if key := strings.TrimSpace(sc.Text()); validKey(key) {
-					keys = append(keys, key)
-				}
-			}
-			return sc.Err()
-		case http.StatusNotFound:
-			return nil
-		default:
-			return statusErr(peer, resp)
-		}
-	})
-	if err != nil {
-		return nil, 0, false
-	}
-	return keys, gen, true
 }

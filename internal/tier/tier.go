@@ -4,9 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -114,8 +112,7 @@ func (t *Tier) Ring() *Ring { return t.ring }
 // Self never appears (its disk store is consulted directly), and ""
 // means no peer is worth asking. Breaker state thus feeds the ring:
 // an open owner degrades its shard to the fleet-wide stand-in that
-// every member computes identically, and repair backfills the owner
-// when it returns.
+// every member computes identically.
 func (t *Tier) peerFor(key string) (peer string, failover bool) {
 	self := t.ring.Self()
 	owner := t.ring.Owner(key)
@@ -181,8 +178,8 @@ func (t *Tier) Store(key string, blob []byte) {
 	// A self-owned key needs no offer: the local disk write above is
 	// where the fleet will look for it. An open owner breaker diverts
 	// the offer to the owner's rendezvous stand-in — the same peer
-	// failover reads consult — so the result stays reachable until
-	// repair backfills the owner.
+	// failover reads consult — so the result stays reachable while the
+	// owner is down.
 	if t.ring != nil && t.client != nil {
 		if peer, failover := t.peerFor(key); peer != "" {
 			if failover {
@@ -238,17 +235,14 @@ type Stats struct {
 	DiskMaxBytes  int64  `json:"disk_max_bytes"`
 	DiskEvictions uint64 `json:"disk_evictions"`
 	// Self-healing accounting, all omitted while zero/absent so a
-	// healthy fleet's stats body is byte-identical to a build without
-	// the repair layer. FailoverReads/FailoverStores count exchanges
-	// diverted past an open owner breaker to its rendezvous stand-in.
+	// healthy fleet's stats body carries none of it.
+	// FailoverReads/FailoverStores count exchanges diverted past an
+	// open owner breaker to its rendezvous stand-in.
 	FailoverReads  uint64 `json:"failover_reads,omitempty"`
 	FailoverStores uint64 `json:"failover_stores,omitempty"`
 	// Breakers lists only non-trivial peer breakers (open, half-open,
 	// or accumulating failures); a healthy fleet exports none.
 	Breakers []BreakerState `json:"breakers,omitempty"`
-	// Repair is the anti-entropy loop's accounting (nil when repair is
-	// disabled); internal/server fills it in.
-	Repair *RepairStats `json:"repair,omitempty"`
 }
 
 // Stats snapshots the tier.
@@ -304,36 +298,8 @@ func (t *Tier) ServeGet(w http.ResponseWriter, key string) {
 	w.Write(blob) //nolint:errcheck
 }
 
-// ManifestGenHeader carries the store's write generation on manifest
-// replies; a delta-manifest caller sends it back as the since cursor.
-// Its absence marks a peer predating delta manifests, and the caller
-// stays on full listings.
-const ManifestGenHeader = "X-Samr-Manifest-Gen"
-
-// ServeManifest is the anti-entropy read handler body: it answers the
-// disk store's resident key list as text/plain, one key per line,
-// sorted, with the store's write generation in ManifestGenHeader.
-// since > 0 (a cursor from a previous manifest's generation header)
-// narrows the listing to keys written after that generation; 0 — and
-// any cursor the store's restarted counter no longer covers — answers
-// the full list. internal/server routes GET /v1/tier/manifest here
-// when repair is enabled.
-func (t *Tier) ServeManifest(w http.ResponseWriter, since uint64) {
-	if t.disk == nil {
-		http.Error(w, "no disk store", http.StatusNotFound)
-		return
-	}
-	keys, gen := t.disk.KeysSince(since)
-	w.Header().Set(ManifestGenHeader, strconv.FormatUint(gen, 10))
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	for _, key := range keys {
-		io.WriteString(w, key)  //nolint:errcheck
-		io.WriteString(w, "\n") //nolint:errcheck
-	}
-}
-
 // Client returns the peer client (nil when the peer level is
-// disabled); the repairer and tests reach breaker state through it.
+// disabled); tests reach breaker state through it.
 func (t *Tier) Client() *PeerClient { return t.client }
 
 // ServePut is the peer-protocol write handler body: it verifies the
